@@ -37,7 +37,9 @@ constexpr std::uint32_t kCacheMagic = 0x52544331;  // "RTC1"
 // across threads AND processes); v4 blobs are a miss and rebuild cleanly.
 // v6: TemplateBase serialises branch_delay_slots (architectural branch delay
 // from the HDL DELAY attribute); v5 blobs are a miss and rebuild cleanly.
-constexpr std::uint32_t kCacheVersion = 6;
+// v7: the tables section is the BTR4 pool alone (the hash-mode section and
+// its mode byte are gone); v6 blobs are a miss and rebuild cleanly.
+constexpr std::uint32_t kCacheVersion = 7;
 
 // The header below (magic, version, key, checksum) is 24 bytes — keep it a
 // multiple of 4 so the payload-relative alignment of the frozen pool (see

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <mutex>
 #include <numeric>
 
 #include "burstab/serialize.h"
@@ -32,9 +31,14 @@ std::int64_t const_pair_key(int fit_index, int const_class) {
          static_cast<std::int64_t>(const_class + 1);
 }
 
-/// Row counts beyond this abandon freezing one operator (its transitions
-/// stay on the hash path) rather than materialise a pathological
-/// displacement table.
+/// Build-closure budgets. The closure stops (and marks itself incomplete)
+/// when either is hit; whatever it did not reach is computed per parse.
+constexpr std::size_t kMaxStates = 512;
+constexpr std::size_t kMaxTransitions = std::size_t{1} << 14;
+
+/// Row counts beyond this leave one operator out of the packed tables (its
+/// transitions are computed per parse) rather than materialise a
+/// pathological displacement table.
 constexpr std::size_t kMaxFrozenRows = std::size_t{1} << 20;
 
 /// First word of every frozen pool. The pool is written to disk verbatim
@@ -44,21 +48,32 @@ constexpr std::int32_t kPoolByteOrder = 0x01020304;
 constexpr std::size_t kPoolHeaderWords = 12;
 constexpr std::size_t kPoolOpHeaderWords = 8;
 
+struct TransKey {
+  TermId term;
+  std::vector<int> children;
+  friend bool operator==(const TransKey&, const TransKey&) = default;
+};
+struct TransKeyHash {
+  std::size_t operator()(const TransKey& k) const {
+    std::size_t h = 1469598103934665603ull ^ static_cast<std::size_t>(k.term);
+    for (int c : k.children)
+      h = (h ^ static_cast<std::size_t>(c)) * 1099511628211ull;
+    return h;
+  }
+};
+
 }  // namespace
 
-std::size_t TargetTables::RowHash::operator()(const RowKey& k) const {
+std::size_t RowHash::operator()(const std::int32_t* row) const {
   std::size_t h = 1469598103934665603ull;
-  const int n = t->stride_;
-  for (int i = 0; i < n; ++i)
-    h = (h ^ static_cast<std::size_t>(static_cast<std::uint32_t>(k.row[i]))) *
+  for (std::size_t i = 0; i < words; ++i)
+    h = (h ^ static_cast<std::size_t>(static_cast<std::uint32_t>(row[i]))) *
         1099511628211ull;
   return h;
 }
 
-bool TargetTables::RowEq::operator()(const RowKey& a, const RowKey& b) const {
-  return std::memcmp(a.row, b.row,
-                     static_cast<std::size_t>(t->stride_) *
-                         sizeof(std::int32_t)) == 0;
+bool RowEq::operator()(const std::int32_t* a, const std::int32_t* b) const {
+  return std::memcmp(a, b, words * sizeof(std::int32_t)) == 0;
 }
 
 // --- construction -----------------------------------------------------------
@@ -122,19 +137,18 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
   nt_count_ = g.nonterminal_count();
   const_term_ = g.const_terminal();
   fingerprint_ = ::record::burstab::grammar_fingerprint(g);
-  const int terms = g.terminal_count();
+  const std::size_t terms = static_cast<std::size_t>(g.terminal_count());
 
-  rules_by_terminal_.assign(static_cast<std::size_t>(terms), {});
-  constrained_by_terminal_.assign(static_cast<std::size_t>(terms), {});
-  const_root_rules_.assign(1, {});
+  rules_by_terminal_.assign(terms, {});
+  sub_plans_.assign(terms, {});
   chains_from_.assign(static_cast<std::size_t>(nt_count_), {});
-  constrained_rule_.assign(g.rules().size(), false);
-  terminal_constrained_.assign(static_cast<std::size_t>(terms), false);
-  subs_by_terminal_.assign(static_cast<std::size_t>(terms), {});
-  constrained_precheck_.assign(static_cast<std::size_t>(terms), {});
-  arities_by_terminal_.assign(static_cast<std::size_t>(terms), {});
+  terminal_constrained_.assign(terms, false);
+  subs_by_terminal_.assign(terms, {});
+  constrained_precheck_.assign(terms, {});
+  arities_by_terminal_.assign(terms, {});
 
   std::unordered_map<std::string, int> key_index;
+  std::unordered_map<const PatNode*, int> sub_of;
 
   // Registers `p` (a Term-kind pattern position) and, recursively, its
   // Term-kind descendants.
@@ -148,7 +162,7 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
       subs_by_terminal_[static_cast<std::size_t>(p.term)].push_back(
           it->second);
     }
-    sub_index_.emplace(&p, it->second);
+    sub_of.emplace(&p, it->second);
     for (const grammar::PatNodePtr& c : p.children) self(self, *c);
   };
 
@@ -175,23 +189,20 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
   };
 
   for (const Rule& r : g.rules()) {
-    const std::size_t rid = static_cast<std::size_t>(r.id);
     if (r.is_chain()) {
       chains_from_[static_cast<std::size_t>(r.pattern->nt)].push_back(
           ChainPlan{r.id, r.lhs, r.cost});
       continue;
     }
-    const bool constrained = pattern_is_constrained(*r.pattern);
-    constrained_rule_[rid] = constrained;
-    if (constrained) {
+    scan_leaves(scan_leaves, *r.pattern);  // constrained arities matter too
+    if (pattern_is_constrained(*r.pattern)) {
+      ++constrained_rules_;
       // Nodes of this operator run the hybrid path: table transition plus
       // a matcher sweep over exactly these rules.
       TermId root_term = r.pattern->kind == PatNode::Kind::Term
                              ? r.pattern->term
                              : const_term_;
       terminal_constrained_[static_cast<std::size_t>(root_term)] = true;
-      constrained_by_terminal_[static_cast<std::size_t>(root_term)]
-          .push_back(r.id);
       if (r.pattern->kind == PatNode::Kind::Term) {
         ConstrainedPrecheck pc;
         pc.rule = r.id;
@@ -218,20 +229,19 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
         constrained_precheck_[static_cast<std::size_t>(root_term)].push_back(
             std::move(pc));
       }
-      scan_leaves(scan_leaves, *r.pattern);  // arities still matter
       continue;
     }
-    scan_leaves(scan_leaves, *r.pattern);
-    RulePlan plan{r.id, r.lhs, r.cost, r.pattern.get()};
+    ++table_rules_;
+    RulePlan plan{r.id, r.lhs, r.cost, r.pattern.get(), {}};
     if (r.pattern->kind == PatNode::Kind::Term) {
       rules_by_terminal_[static_cast<std::size_t>(r.pattern->term)].push_back(
           plan);
-      if (r.pattern->term == const_term_) const_root_rules_[0].push_back(plan);
+      if (r.pattern->term == const_term_) const_root_rules_.push_back(plan);
       for (const grammar::PatNodePtr& c : r.pattern->children)
         register_sub(register_sub, *c);
     } else {
       // Imm/Const-rooted rules attach to the constant terminal.
-      const_root_rules_[0].push_back(plan);
+      const_root_rules_.push_back(plan);
     }
   }
 
@@ -242,27 +252,75 @@ void TargetTables::prepare(const grammar::TreeGrammar& g) {
   const_values_.erase(
       std::unique(const_values_.begin(), const_values_.end()),
       const_values_.end());
-  for (std::size_t i = 0; i < const_values_.size(); ++i)
-    const_class_of_.emplace(const_values_[i], static_cast<int>(i));
-
   stride_ = 2 * nt_count_ + static_cast<int>(subpatterns_.size()) + 3;
-  scratch_row_.resize(static_cast<std::size_t>(stride_));
-}
 
-TargetTables::TargetTables(const grammar::TreeGrammar& g,
-                           const TableBuildOptions& options)
-    : freeze_enabled_(options.freeze),
-      refreeze_misses_(std::max<std::size_t>(1, options.refreeze_misses)),
-      state_index_(16, RowHash{this}, RowEq{this}) {
-  prepare(g);
-  if (options.precompute) {
-    run_closure(options);  // freezes at the end when enabled
-  } else if (freeze_enabled_) {
-    freeze();  // empty snapshot: dynamic fills count as misses and re-freeze
+  // Resolve every pattern child to its row test once, so state computation
+  // never looks a pattern node up.
+  auto child_matches = [&](const PatNode& p) {
+    std::vector<ChildMatch> kids;
+    for (const grammar::PatNodePtr& c : p.children) {
+      ChildMatch m;
+      switch (c->kind) {
+        case PatNode::Kind::NonTerm:
+          m.arg = c->nt;
+          break;
+        case PatNode::Kind::Term:
+          m.arg = 2 * nt_count_ + sub_of.at(c.get());
+          break;
+        case PatNode::Kind::Imm:
+          // Fit is monotone in width: a value fits every registered width
+          // >= its minimal fitting one.
+          m.kind = ChildMatch::Kind::kImm;
+          m.arg = static_cast<int>(
+              std::lower_bound(fit_widths_.begin(), fit_widths_.end(),
+                               c->width) -
+              fit_widths_.begin());
+          break;
+        case PatNode::Kind::Const:
+          m.kind = ChildMatch::Kind::kConst;
+          m.arg = const_class_index(c->value);
+          break;
+      }
+      kids.push_back(m);
+    }
+    return kids;
+  };
+  rule_groups_.assign(terms, {});
+  for (std::size_t t = 0; t < terms; ++t) {
+    std::vector<RulePlan>& plans = rules_by_terminal_[t];
+    for (std::size_t pi = 0; pi < plans.size(); ++pi) {
+      RulePlan& plan = plans[pi];
+      plan.kids = child_matches(*plan.pattern);
+      if (plan.kids.empty()) continue;
+      const ChildMatch& first = plan.kids.front();
+      std::vector<RuleGroup>& groups = rule_groups_[t];
+      auto it = std::find_if(groups.begin(), groups.end(),
+                             [&](const RuleGroup& g) {
+                               return g.first.kind == first.kind &&
+                                      g.first.arg == first.arg;
+                             });
+      if (it == groups.end())
+        it = groups.insert(groups.end(), RuleGroup{first, {}});
+      it->plans.push_back(static_cast<int>(pi));
+    }
+  }
+  for (std::size_t qi = 0; qi < subpatterns_.size(); ++qi) {
+    const PatNode& q = *subpatterns_[qi];
+    sub_plans_[static_cast<std::size_t>(q.term)].push_back(
+        RulePlan{static_cast<int>(qi), -1, 0, &q, child_matches(q)});
   }
 }
 
-// --- flat state rows --------------------------------------------------------
+TargetTables::TargetTables(const grammar::TreeGrammar& g, NoBuild) {
+  prepare(g);
+}
+
+TargetTables::TargetTables(const grammar::TreeGrammar& g)
+    : TargetTables(g, NoBuild{}) {
+  run_closure();
+}
+
+// --- state computation ------------------------------------------------------
 
 StateView TargetTables::view_of_row(const std::int32_t* row) const {
   StateView v;
@@ -276,130 +334,21 @@ StateView TargetTables::view_of_row(const std::int32_t* row) const {
   return v;
 }
 
-const std::int32_t* TargetTables::state_row_locked(int id) const {
-  // Mapped base states live contiguously inside the adopted pool; states
-  // interned after the adoption go to the arena as usual.
-  if (id < base_state_count_)
-    return base_rows_ +
-           static_cast<std::size_t>(id) * static_cast<std::size_t>(stride_);
-  const int a = id - base_state_count_;
-  return state_blocks_[static_cast<std::size_t>(a / kStatesPerBlock)].get() +
-         static_cast<std::size_t>(a % kStatesPerBlock) *
-             static_cast<std::size_t>(stride_);
-}
-
-void TargetTables::fill_row_from_state(const StateData& s,
-                                       std::int32_t* row) const {
-  const std::size_t nts = static_cast<std::size_t>(nt_count_);
-  const std::size_t subs = subpatterns_.size();
-  assert(s.cost.size() == nts && s.rule.size() == nts && s.sub.size() == subs);
-  for (std::size_t i = 0; i < nts; ++i) row[i] = s.cost[i];
-  for (std::size_t i = 0; i < nts; ++i) row[nts + i] = s.rule[i];
-  for (std::size_t i = 0; i < subs; ++i) row[2 * nts + i] = s.sub[i];
-  std::int32_t* meta = row + stride_ - 3;
-  meta[0] = s.is_const_leaf ? 1 : 0;
-  meta[1] = s.fit_width_index;
-  meta[2] = s.const_class;
-}
-
-void TargetTables::ensure_state_index_locked() const {
-  if (state_index_seeded_) return;
-  state_index_seeded_ = true;
-  for (int id = 0; id < base_state_count_; ++id)
-    state_index_.emplace(
-        RowKey{base_rows_ + static_cast<std::size_t>(id) *
-                                static_cast<std::size_t>(stride_)},
-        id);
-}
-
-int TargetTables::intern_row_locked(const std::int32_t* row) const {
-  ensure_state_index_locked();
-  auto it = state_index_.find(RowKey{row});
-  if (it != state_index_.end()) return it->second;
-  if ((state_count_ - base_state_count_) % kStatesPerBlock == 0)
-    state_blocks_.push_back(std::make_unique<std::int32_t[]>(
-        static_cast<std::size_t>(kStatesPerBlock) *
-        static_cast<std::size_t>(stride_)));
-  int id = state_count_++;
-  std::int32_t* dst =
-      const_cast<std::int32_t*>(state_row_locked(id));
-  std::memcpy(dst, row,
-              static_cast<std::size_t>(stride_) * sizeof(std::int32_t));
-  state_index_.emplace(RowKey{dst}, id);
-  return id;
-}
-
-// --- state computation ------------------------------------------------------
-
-int TargetTables::rel_match_locked(const PatNode& p,
-                                   const std::int32_t* s) const {
+int TargetTables::match_cost(const ChildMatch& m,
+                             const std::int32_t* s) const {
   const std::int32_t* meta = s + stride_ - 3;
-  switch (p.kind) {
-    case PatNode::Kind::NonTerm:
-      return s[static_cast<std::size_t>(p.nt)];
-    case PatNode::Kind::Imm: {
-      if (meta[0] == 0 || meta[1] < 0) return kInf;
-      // Fit is monotone in width: the value fits every registered width >=
-      // its minimal fitting one.
-      return fit_widths_[static_cast<std::size_t>(meta[1])] <= p.width
-                 ? 0
-                 : kInf;
-    }
-    case PatNode::Kind::Const:
-      return meta[0] != 0 && meta[2] >= 0 &&
-                     const_values_[static_cast<std::size_t>(meta[2])] ==
-                         p.value
-                 ? 0
-                 : kInf;
-    case PatNode::Kind::Term: {
-      auto it = sub_index_.find(&p);
-      assert(it != sub_index_.end() && "unregistered subpattern position");
-      return s[static_cast<std::size_t>(2 * nt_count_ + it->second)];
-    }
+  switch (m.kind) {
+    case ChildMatch::Kind::kWord:
+      return s[static_cast<std::size_t>(m.arg)];
+    case ChildMatch::Kind::kImm:
+      return meta[0] != 0 && meta[1] >= 0 && meta[1] <= m.arg ? 0 : kInf;
+    case ChildMatch::Kind::kConst:
+      return meta[0] != 0 && meta[2] >= 0 && meta[2] == m.arg ? 0 : kInf;
   }
   return kInf;
 }
 
-TargetTables::Transition TargetTables::compute_transition_locked(
-    TermId term, const std::vector<int>& children) const {
-  const std::size_t k = children.size();
-  const std::size_t nts = static_cast<std::size_t>(nt_count_);
-  const std::size_t subs = subpatterns_.size();
-  const std::int32_t* kids[16];
-  std::vector<const std::int32_t*> kids_overflow;
-  const std::int32_t** kid_rows = kids;
-  if (k > 16) {
-    kids_overflow.resize(k);
-    kid_rows = kids_overflow.data();
-  }
-  for (std::size_t i = 0; i < k; ++i)
-    kid_rows[i] = state_row_locked(children[i]);
-
-  // Mirrors TreeParser::label exactly: rules in registration order with
-  // strict-improvement updates, then chain closure to fixpoint in the same
-  // sweep order — identical costs AND identical tie-breaking. The signature
-  // is staged directly into the scratch row, then interned (one copy).
-  std::int32_t* row = scratch_row_.data();
-  std::int32_t* cost = row;
-  std::int32_t* rule = row + nts;
-  std::int32_t* sub = row + 2 * nts;
-  for (std::size_t i = 0; i < nts; ++i) cost[i] = kInf;
-  for (std::size_t i = 0; i < nts; ++i) rule[i] = -1;
-  for (const RulePlan& plan : rules_by_terminal_[static_cast<std::size_t>(
-           term)]) {
-    if (plan.pattern->children.size() != k) continue;
-    int sum = 0;
-    for (std::size_t i = 0; i < k && sum < kInf; ++i)
-      sum = sat_add(sum, rel_match_locked(*plan.pattern->children[i],
-                                          kid_rows[i]));
-    if (sum >= kInf) continue;
-    int total = sat_add(sum, plan.cost);
-    std::size_t lhs = static_cast<std::size_t>(plan.lhs);
-    if (total < cost[lhs]) {
-      cost[lhs] = total;
-      rule[lhs] = plan.id;
-    }
-  }
+void TargetTables::close_chains(std::int32_t* cost, std::int32_t* rule) const {
   bool changed = true;
   while (changed) {
     changed = false;
@@ -417,6 +366,61 @@ TargetTables::Transition TargetTables::compute_transition_locked(
       }
     }
   }
+}
+
+void TargetTables::match_rules(TermId term,
+                               const std::int32_t* const* kid_rows,
+                               std::size_t k, std::int32_t* cost,
+                               std::int32_t* rule) const {
+  const std::size_t t = static_cast<std::size_t>(term);
+  for (int i = 0; i < nt_count_; ++i) cost[i] = kInf;
+  for (int i = 0; i < nt_count_; ++i) rule[i] = -1;
+  // The interpreter scans rules in id order with strict improvement: per
+  // non-terminal the cheapest rule wins, the lowest id among equals. The
+  // lexicographic (cost, rule id) argmin below is the same choice, so only
+  // the groups whose first child matches need visiting, in any order.
+  const auto offer = [&](const RulePlan& plan, int sum) {
+    const int total = sat_add(sum, plan.cost);
+    const std::size_t lhs = static_cast<std::size_t>(plan.lhs);
+    if (total < cost[lhs] || (total == cost[lhs] && plan.id < rule[lhs])) {
+      cost[lhs] = total;
+      rule[lhs] = plan.id;
+    }
+  };
+  const std::vector<RulePlan>& plans = rules_by_terminal_[t];
+  if (k == 0) {
+    for (const RulePlan& plan : plans)
+      if (plan.kids.empty()) offer(plan, 0);
+    return;
+  }
+  for (const RuleGroup& group : rule_groups_[t]) {
+    const int first = match_cost(group.first, kid_rows[0]);
+    if (first >= kInf) continue;
+    for (int pi : group.plans) {
+      const RulePlan& plan = plans[static_cast<std::size_t>(pi)];
+      if (plan.kids.size() != k) continue;
+      int sum = first;
+      for (std::size_t i = 1; i < k && sum < kInf; ++i)
+        sum = sat_add(sum, match_cost(plan.kids[i], kid_rows[i]));
+      if (sum < kInf) offer(plan, sum);
+    }
+  }
+}
+
+int TargetTables::compute_transition(TermId term,
+                                     const std::int32_t* const* kid_rows,
+                                     std::size_t k, std::int32_t* row) const {
+  const std::size_t nts = static_cast<std::size_t>(nt_count_);
+  const std::size_t subs = subpatterns_.size();
+
+  // Mirrors TreeParser::label exactly: the same rule per non-terminal (see
+  // match_rules), then chain closure to fixpoint in the same sweep order —
+  // identical costs AND identical tie-breaking.
+  std::int32_t* cost = row;
+  std::int32_t* rule = row + nts;
+  std::int32_t* sub = row + 2 * nts;
+  match_rules(term, kid_rows, k, cost, rule);
+  close_chains(cost, rule);
 
   int delta = kInf;
   for (std::size_t i = 0; i < nts; ++i) delta = std::min(delta, cost[i]);
@@ -425,35 +429,33 @@ TargetTables::Transition TargetTables::compute_transition_locked(
     if (cost[i] < kInf) cost[i] -= delta;
 
   for (std::size_t i = 0; i < subs; ++i) sub[i] = kInf;
-  for (int qi : subs_by_terminal_[static_cast<std::size_t>(term)]) {
-    const PatNode* q = subpatterns_[static_cast<std::size_t>(qi)];
-    if (q->children.size() != k) continue;
+  for (const RulePlan& q : sub_plans_[static_cast<std::size_t>(term)]) {
+    if (q.kids.size() != k) continue;
     int sum = 0;
     for (std::size_t i = 0; i < k && sum < kInf; ++i)
-      sum = sat_add(sum, rel_match_locked(*q->children[i], kid_rows[i]));
-    if (sum < kInf) sub[static_cast<std::size_t>(qi)] = sum - delta;
+      sum = sat_add(sum, match_cost(q.kids[i], kid_rows[i]));
+    if (sum < kInf) sub[static_cast<std::size_t>(q.id)] = sum - delta;
   }
   std::int32_t* meta = row + stride_ - 3;
   meta[0] = 0;
   meta[1] = -1;
   meta[2] = -1;
-  return Transition{intern_row_locked(row), delta};
+  return delta;
 }
 
-int TargetTables::compute_const_state_locked(int fit_index,
-                                             int const_class) const {
+void TargetTables::compute_const_state(int fit_index, int const_class,
+                                       std::int32_t* row) const {
   // #const leaves keep absolute costs (base 0) so that rules consuming the
   // leaf through an Imm/Const pattern (operand cost 0) and through a
   // NonTerm (operand cost = the leaf's absolute cost) agree on one base.
   const std::size_t nts = static_cast<std::size_t>(nt_count_);
   const std::size_t subs = subpatterns_.size();
-  std::int32_t* row = scratch_row_.data();
   std::int32_t* cost = row;
   std::int32_t* rule = row + nts;
   std::int32_t* sub = row + 2 * nts;
   for (std::size_t i = 0; i < nts; ++i) cost[i] = kInf;
   for (std::size_t i = 0; i < nts; ++i) rule[i] = -1;
-  for (const RulePlan& plan : const_root_rules_[0]) {
+  for (const RulePlan& plan : const_root_rules_) {
     bool matches = false;
     switch (plan.pattern->kind) {
       case PatNode::Kind::Imm:
@@ -479,37 +481,49 @@ int TargetTables::compute_const_state_locked(int fit_index,
       rule[lhs] = plan.id;
     }
   }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int y = 0; y < nt_count_; ++y) {
-      int base = cost[static_cast<std::size_t>(y)];
-      if (base >= kInf) continue;
-      for (const ChainPlan& c : chains_from_[static_cast<std::size_t>(y)]) {
-        int total = sat_add(base, c.cost);
-        std::size_t lhs = static_cast<std::size_t>(c.lhs);
-        if (total < cost[lhs]) {
-          cost[lhs] = total;
-          rule[lhs] = c.id;
-          changed = true;
-        }
-      }
-    }
-  }
+  close_chains(cost, rule);
 
   for (std::size_t i = 0; i < subs; ++i) sub[i] = kInf;
-  for (int qi : subs_by_terminal_[static_cast<std::size_t>(const_term_)]) {
-    const PatNode* q = subpatterns_[static_cast<std::size_t>(qi)];
-    if (q->children.empty()) sub[static_cast<std::size_t>(qi)] = 0;
-  }
+  for (const RulePlan& q : sub_plans_[static_cast<std::size_t>(const_term_)])
+    if (q.kids.empty()) sub[static_cast<std::size_t>(q.id)] = 0;
   std::int32_t* meta = row + stride_ - 3;
   meta[0] = 1;
   meta[1] = fit_index;
   meta[2] = const_class;
-  return intern_row_locked(row);
 }
 
-// --- frozen fast path -------------------------------------------------------
+void TargetTables::compute_const_row(std::int64_t value,
+                                     std::int32_t* row) const {
+  compute_const_state(fit_index_of(value), const_class_index(value), row);
+}
+
+// --- lookups ----------------------------------------------------------------
+
+int TargetTables::fit_index_of(std::int64_t value) const {
+  for (std::size_t i = 0; i < fit_widths_.size(); ++i)
+    if (treeparse::TreeParser::immediate_fits(value, fit_widths_[i]))
+      return static_cast<int>(i);
+  return -1;
+}
+
+int TargetTables::const_class_index(std::int64_t value) const {
+  auto it = std::lower_bound(const_values_.begin(), const_values_.end(),
+                             value);
+  return it == const_values_.end() || *it != value
+             ? -1
+             : static_cast<int>(it - const_values_.begin());
+}
+
+int TargetTables::const_leaf_state(std::int64_t value) const {
+  return frozen_->const_lookup(fit_index_of(value), const_class_index(value));
+}
+
+int TargetTables::find_state(const std::int32_t* row) const {
+  auto it = row_index_.find(row);
+  return it == row_index_.end() ? -1 : it->second;
+}
+
+// --- frozen lookups ---------------------------------------------------------
 
 bool TargetTables::FrozenTables::lookup(TermId term, const int* children,
                                         std::size_t arity, Transition& out,
@@ -573,217 +587,6 @@ int TargetTables::FrozenTables::const_lookup(int fit_index,
 //                disp_len, check_len
 //     dims[arity]  maps[arity*state_count]  disp[disp_len]
 //     check[check_len]  val_state[check_len]  val_delta[check_len]
-void TargetTables::freeze_locked() const {
-  OBS_SPAN("burstab.freeze");
-  obs::metrics().counter("burstab.freeze").add(1);
-  // A mapped base must fold back into the hash maps first, or its
-  // transitions would vanish from the new snapshot.
-  absorb_pool_locked();
-
-  /// freeze-time staging of one Op (mutable vectors; packed into the pool
-  /// once the displacement tables are final).
-  struct OpBuild {
-    std::int32_t term = -1;
-    std::int32_t arity = 0;
-    bool has_leaf = false;
-    Transition leaf{};
-    std::int32_t slot_base = 0;
-    std::vector<std::int32_t> dims, maps, disp, check, val_state, val_delta;
-  };
-
-  const std::size_t fit_dim = fit_widths_.size() + 1;
-  const int ccd = static_cast<int>(const_values_.size()) + 1;
-  std::vector<std::int32_t> const_state(
-      fit_dim * static_cast<std::size_t>(ccd), -1);
-  for (const auto& [key, sid] : const_state_by_pair_) {
-    std::size_t fit1 = static_cast<std::size_t>(key >> 32);
-    std::size_t cc1 = static_cast<std::size_t>(key & 0xffffffff);
-    const_state[fit1 * static_cast<std::size_t>(ccd) + cc1] = sid;
-  }
-
-  // Bucket the memoised transitions by (term, arity).
-  const std::size_t terms = rules_by_terminal_.size();
-  struct Group {
-    std::vector<const std::pair<const TransKey, Transition>*> entries;
-  };
-  std::vector<std::vector<std::pair<int, Group>>> by_term(terms);  // (arity,)
-  for (const auto& entry : trans_) {
-    const TransKey& key = entry.first;
-    if (key.term < 0 || static_cast<std::size_t>(key.term) >= terms) continue;
-    auto& groups = by_term[static_cast<std::size_t>(key.term)];
-    const int arity = static_cast<int>(key.children.size());
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const auto& g) { return g.first == arity; });
-    if (it == groups.end()) {
-      groups.emplace_back(arity, Group{});
-      it = groups.end() - 1;
-    }
-    it->second.entries.push_back(&entry);
-  }
-
-  std::vector<std::int32_t> op_begin(terms, 0);
-  std::vector<std::int32_t> op_end(terms, 0);
-  std::vector<OpBuild> built;
-  std::size_t transitions = 0;
-  const std::size_t sc = static_cast<std::size_t>(state_count_);
-  // Snapshot-global transition-slot numbering (coverage identity): each op
-  // owns a contiguous span — one slot for a leaf, check.size() slots for a
-  // packed op (holes where check stays -1 are simply never hit).
-  std::size_t slot_running = 0;
-  for (std::size_t t = 0; t < terms; ++t) {
-    op_begin[t] = static_cast<std::int32_t>(built.size());
-    for (auto& [arity, group] : by_term[t]) {
-      OpBuild op;
-      op.term = static_cast<std::int32_t>(t);
-      op.arity = arity;
-      if (arity == 0) {
-        op.has_leaf = true;
-        op.leaf = group.entries.front()->second;
-        op.slot_base = static_cast<std::int32_t>(slot_running);
-        slot_running += 1;
-        transitions += 1;
-        built.push_back(std::move(op));
-        continue;
-      }
-      const std::size_t k = static_cast<std::size_t>(arity);
-      // Chase-style index maps: per child position, child state -> compact
-      // index over the states actually seen there.
-      op.dims.assign(k, 0);
-      op.maps.assign(k * sc, -1);
-      for (const auto* e : group.entries)
-        for (std::size_t p = 0; p < k; ++p) {
-          std::int32_t& slot = op.maps[p * sc + static_cast<std::size_t>(
-                                                    e->first.children[p])];
-          if (slot < 0) slot = op.dims[p]++;
-        }
-      std::size_t row_count = 1;
-      for (std::size_t p = 0; p + 1 < k; ++p)
-        row_count *= static_cast<std::size_t>(op.dims[p]);
-      const std::size_t col_count = static_cast<std::size_t>(op.dims[k - 1]);
-      if (row_count > kMaxFrozenRows) continue;  // stays on the hash path
-
-      // Row-displacement packing: rows (all but the last child index,
-      // flattened) share one value array; a check column verifies the
-      // probed slot belongs to the probing row.
-      std::vector<std::vector<std::pair<std::int32_t, Transition>>> rows(
-          row_count);
-      for (const auto* e : group.entries) {
-        std::int32_t row = 0;
-        for (std::size_t p = 0; p + 1 < k; ++p)
-          row = row * op.dims[p] +
-                op.maps[p * sc +
-                        static_cast<std::size_t>(e->first.children[p])];
-        std::int32_t col =
-            op.maps[(k - 1) * sc +
-                    static_cast<std::size_t>(e->first.children[k - 1])];
-        rows[static_cast<std::size_t>(row)].emplace_back(col, e->second);
-      }
-      std::vector<std::size_t> order(row_count);
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return rows[a].size() > rows[b].size();
-                       });
-      op.disp.assign(row_count, 0);
-      op.check.assign(col_count, -1);
-      op.val_state.assign(col_count, -1);
-      op.val_delta.assign(col_count, 0);
-      for (std::size_t r : order) {
-        if (rows[r].empty()) continue;
-        std::size_t d = 0;
-        for (;; ++d) {
-          bool fits = true;
-          for (const auto& [col, tr] : rows[r]) {
-            (void)tr;
-            std::size_t slot = d + static_cast<std::size_t>(col);
-            if (slot < op.check.size() && op.check[slot] != -1) {
-              fits = false;
-              break;
-            }
-          }
-          if (fits) break;
-        }
-        std::size_t need = d + col_count;
-        if (op.check.size() < need) {
-          op.check.resize(need, -1);
-          op.val_state.resize(need, -1);
-          op.val_delta.resize(need, 0);
-        }
-        op.disp[r] = static_cast<std::int32_t>(d);
-        for (const auto& [col, tr] : rows[r]) {
-          std::size_t slot = d + static_cast<std::size_t>(col);
-          op.check[slot] = static_cast<std::int32_t>(r);
-          op.val_state[slot] = tr.state;
-          op.val_delta[slot] = tr.delta;
-        }
-        transitions += rows[r].size();
-      }
-      op.slot_base = static_cast<std::int32_t>(slot_running);
-      slot_running += op.check.size();
-      built.push_back(std::move(op));
-    }
-    op_end[t] = static_cast<std::int32_t>(built.size());
-  }
-
-  // Pack everything into one position-independent pool and publish the
-  // snapshot as views over it.
-  std::size_t words = kPoolHeaderWords +
-                      sc * static_cast<std::size_t>(stride_) +
-                      const_state.size() + 2 * terms;
-  for (const OpBuild& b : built)
-    words += kPoolOpHeaderWords + b.dims.size() + b.maps.size() +
-             b.disp.size() + 3 * b.check.size();
-
-  auto f = std::make_unique<FrozenTables>();
-  std::vector<std::int32_t>& pool = f->pool;
-  pool.reserve(words);
-  pool.push_back(kPoolByteOrder);
-  pool.push_back(state_count_);
-  pool.push_back(stride_);
-  pool.push_back(static_cast<std::int32_t>(fit_dim));
-  pool.push_back(ccd);
-  pool.push_back(static_cast<std::int32_t>(terms));
-  pool.push_back(static_cast<std::int32_t>(built.size()));
-  pool.push_back(static_cast<std::int32_t>(transitions));
-  pool.push_back(static_cast<std::int32_t>(slot_running));
-  pool.insert(pool.end(), 3, 0);  // reserved
-  for (int id = 0; id < state_count_; ++id) {
-    const std::int32_t* row = state_row_locked(id);
-    pool.insert(pool.end(), row, row + stride_);
-  }
-  pool.insert(pool.end(), const_state.begin(), const_state.end());
-  pool.insert(pool.end(), op_begin.begin(), op_begin.end());
-  pool.insert(pool.end(), op_end.begin(), op_end.end());
-  for (const OpBuild& b : built) {
-    pool.push_back(b.term);
-    pool.push_back(b.arity);
-    pool.push_back(b.has_leaf ? 1 : 0);
-    pool.push_back(b.leaf.state);
-    pool.push_back(b.leaf.delta);
-    pool.push_back(b.slot_base);
-    pool.push_back(static_cast<std::int32_t>(b.disp.size()));
-    pool.push_back(static_cast<std::int32_t>(b.check.size()));
-    pool.insert(pool.end(), b.dims.begin(), b.dims.end());
-    pool.insert(pool.end(), b.maps.begin(), b.maps.end());
-    pool.insert(pool.end(), b.disp.begin(), b.disp.end());
-    pool.insert(pool.end(), b.check.begin(), b.check.end());
-    pool.insert(pool.end(), b.val_state.begin(), b.val_state.end());
-    pool.insert(pool.end(), b.val_delta.begin(), b.val_delta.end());
-  }
-  assert(pool.size() == words);
-  bool ok = f->init_from_pool(pool.data(), pool.size(), stride_, terms,
-                              fit_dim, ccd);
-  assert(ok && "self-built pool must validate");
-  if (!ok) return;  // release builds: keep the previous snapshot
-
-  frozen_history_.push_back(std::move(f));
-  frozen_ptr_.store(frozen_history_.back().get(), std::memory_order_release);
-  frozen_misses_.store(0, std::memory_order_relaxed);
-  frozen_source_transitions_ = trans_.size();
-  frozen_source_const_ = const_state_by_pair_.size();
-  ++freeze_count_;
-}
-
 bool TargetTables::FrozenTables::init_from_pool(const std::int32_t* w,
                                                 std::size_t word_count,
                                                 int stride,
@@ -897,210 +700,346 @@ bool TargetTables::FrozenTables::init_from_pool(const std::int32_t* w,
   return pos == word_count;
 }
 
-void TargetTables::adopt_pool_locked(std::unique_ptr<FrozenTables> f) {
-  base_state_count_ = f->state_count;
-  state_count_ = f->state_count;
-  base_rows_ = f->rows.empty() ? nullptr : f->rows.front();
-  state_index_seeded_ = base_state_count_ == 0;
-  pool_absorbed_ = false;
-  frozen_source_transitions_ = 0;
-  frozen_source_const_ = 0;
-  frozen_misses_.store(0, std::memory_order_relaxed);
-  frozen_history_.push_back(std::move(f));
-  frozen_ptr_.store(frozen_history_.back().get(), std::memory_order_release);
-  // freeze_count_ stays 0: a warm load performs no freeze — stats().freezes
-  // reports how many snapshot compactions this process actually ran.
-}
+// --- build closure ----------------------------------------------------------
 
-void TargetTables::absorb_pool_locked() const {
-  if (pool_absorbed_) return;
-  pool_absorbed_ = true;
-  const FrozenTables& f = *frozen_history_.front();
-  const std::size_t scz = static_cast<std::size_t>(f.state_count);
-  for (const FrozenTables::Op& op : f.ops) {
-    if (op.arity == 0) {
-      if (op.has_leaf)
-        trans_.emplace(TransKey{op.term, {}}, op.leaf);
-      continue;
-    }
-    const std::size_t k = static_cast<std::size_t>(op.arity);
-    // Inverse of the Chase maps: compact index -> child state (injective by
-    // construction — each index was assigned to exactly one first-seen
-    // state).
-    std::vector<std::vector<int>> inv(k);
-    for (std::size_t p = 0; p < k; ++p) {
-      inv[p].assign(static_cast<std::size_t>(op.dims[p]), -1);
-      for (std::size_t s = 0; s < scz; ++s) {
-        std::int32_t idx = op.maps[p * scz + s];
-        if (idx >= 0 && inv[p][static_cast<std::size_t>(idx)] < 0)
-          inv[p][static_cast<std::size_t>(idx)] = static_cast<int>(s);
+/// Build-time state of the closure: the state arena, its row index, the
+/// transition map and the #const pairs. Lives only inside run_closure();
+/// pack() turns it into the FrozenTables the object keeps.
+struct TargetTables::Closure {
+  explicit Closure(const TargetTables& tables)
+      : t(tables),
+        index(64, RowHash{tables.stride()}, RowEq{tables.stride()}),
+        scratch(tables.stride()) {}
+
+  const TargetTables& t;
+  std::vector<std::unique_ptr<std::int32_t[]>> rows;  // per state; stable
+  RowIndex index;
+  std::vector<std::int32_t> scratch;  // staging row for compute_*
+  std::vector<const std::int32_t*> kid_rows;  // staging for add_transition
+  std::unordered_map<TransKey, Transition, TransKeyHash> trans;
+  std::unordered_map<std::int64_t, int> const_state_by_pair;
+
+  [[nodiscard]] int state_count() const { return static_cast<int>(rows.size()); }
+
+  /// Interns the scratch row.
+  int intern() {
+    auto it = index.find(scratch.data());
+    if (it != index.end()) return it->second;
+    rows.push_back(std::make_unique<std::int32_t[]>(scratch.size()));
+    std::copy(scratch.begin(), scratch.end(), rows.back().get());
+    const int id = state_count() - 1;
+    index.emplace(rows.back().get(), id);
+    return id;
+  }
+
+  void add_const(int fit_index, int const_class) {
+    const std::int64_t key = const_pair_key(fit_index, const_class);
+    if (const_state_by_pair.count(key)) return;
+    t.compute_const_state(fit_index, const_class, scratch.data());
+    const_state_by_pair.emplace(key, intern());
+  }
+
+  void add_transition(TermId term, const std::vector<int>& children) {
+    TransKey key{term, children};
+    if (trans.count(key)) return;
+    kid_rows.clear();
+    for (int c : children)
+      kid_rows.push_back(rows[static_cast<std::size_t>(c)].get());
+    const int delta = t.compute_transition(term, kid_rows.data(),
+                                           kid_rows.size(), scratch.data());
+    trans.emplace(std::move(key), Transition{intern(), delta});
+  }
+
+  [[nodiscard]] std::unique_ptr<FrozenTables> pack() const;
+};
+
+void TargetTables::run_closure() {
+  Closure c(*this);
+  const std::size_t work_cap = kMaxTransitions * 64;
+  std::size_t work = 0;
+
+  // Leaf seeding: one state per hardwired pattern constant, one per
+  // immediate-fit class, one per leaf operator.
+  for (std::int64_t v : const_values_)
+    c.add_const(fit_index_of(v), const_class_index(v));
+  for (int fi = -1; fi < static_cast<int>(fit_widths_.size()); ++fi)
+    c.add_const(fi, -1);
+  const std::vector<int> no_children;
+  for (std::size_t t = 0; t < rules_by_terminal_.size(); ++t)
+    if (!terminal_constrained_[t])
+      c.add_transition(static_cast<TermId>(t), no_children);
+
+  // Bottom-up closure: combine known states under every operator arity until
+  // nothing new appears or a budget is hit. Tuples whose prefix already
+  // rules out every rule and subpattern are pruned. Operators that own a
+  // side-constrained rule stay out: closing over them multiplies the
+  // transitions past the budget (ref: 408 -> 16384+), so their nodes are
+  // computed per job instead.
+  std::size_t frontier_begin = 0;
+  bool out_of_budget = false;
+  while (frontier_begin < static_cast<std::size_t>(c.state_count()) &&
+         !out_of_budget) {
+    std::size_t frontier_end = static_cast<std::size_t>(c.state_count());
+    for (std::size_t t = 0;
+         t < rules_by_terminal_.size() && !out_of_budget; ++t) {
+      if (terminal_constrained_[t]) continue;
+      if (static_cast<TermId>(t) == const_term_) continue;
+      for (int arity : arities_by_terminal_[t]) {
+        if (arity < 1) continue;
+        std::vector<const RulePlan*> plans;
+        for (const RulePlan& p : rules_by_terminal_[t])
+          if (static_cast<int>(p.kids.size()) == arity) plans.push_back(&p);
+        for (const RulePlan& q : sub_plans_[t])
+          if (static_cast<int>(q.kids.size()) == arity) plans.push_back(&q);
+        if (plans.empty()) continue;
+
+        std::vector<int> tuple(static_cast<std::size_t>(arity));
+        auto enumerate = [&](auto&& self, int pos, bool has_new) -> void {
+          if (out_of_budget) return;
+          if (++work > work_cap ||
+              static_cast<std::size_t>(c.state_count()) >= kMaxStates ||
+              c.trans.size() >= kMaxTransitions) {
+            out_of_budget = true;
+            return;
+          }
+          if (pos == arity) {
+            if (has_new) c.add_transition(static_cast<TermId>(t), tuple);
+            return;
+          }
+          for (std::size_t sid = 0; sid < frontier_end; ++sid) {
+            const std::int32_t* s = c.rows[sid].get();
+            // Prune: some rule or subpattern must still be able to match
+            // with this state at position `pos`.
+            bool viable = false;
+            for (const RulePlan* p : plans) {
+              if (match_cost(p->kids[static_cast<std::size_t>(pos)], s) <
+                  kInf) {
+                viable = true;
+                break;
+              }
+            }
+            if (!viable) continue;
+            tuple[static_cast<std::size_t>(pos)] = static_cast<int>(sid);
+            self(self, pos + 1, has_new || sid >= frontier_begin);
+            if (out_of_budget) return;
+          }
+        };
+        enumerate(enumerate, 0, false);
       }
     }
-    for (std::size_t slot = 0; slot < op.check.size(); ++slot) {
-      std::int32_t row = op.check[slot];
-      if (row < 0) continue;
-      std::int32_t col = static_cast<std::int32_t>(slot) -
-                         op.disp[static_cast<std::size_t>(row)];
-      if (col < 0 || col >= op.dims[k - 1]) continue;
-      TransKey key;
-      key.term = op.term;
-      key.children.resize(k);
-      // Mixed-radix decode of the flattened row (digit p has radix
-      // dims[p]), inverting freeze's row = row * dims[p] + idx.
-      std::int32_t rest = row;
-      bool valid = true;
-      for (std::size_t p = k - 1; p-- > 0;) {
-        std::int32_t idx = rest % op.dims[p];
-        rest /= op.dims[p];
-        int s = inv[p][static_cast<std::size_t>(idx)];
-        if (s < 0) valid = false;
-        key.children[p] = s;
+    frontier_begin = frontier_end;
+  }
+  closure_complete_ = !out_of_budget;
+  adopt(c.pack());
+}
+
+std::unique_ptr<TargetTables::FrozenTables> TargetTables::Closure::pack()
+    const {
+  OBS_SPAN("burstab.freeze");
+  obs::metrics().counter("burstab.freeze").add(1);
+
+  /// Staging of one Op (mutable vectors; packed into the pool once the
+  /// displacement tables are final).
+  struct OpBuild {
+    std::int32_t term = -1;
+    std::int32_t arity = 0;
+    bool has_leaf = false;
+    Transition leaf{};
+    std::int32_t slot_base = 0;
+    std::vector<std::int32_t> dims, maps, disp, check, val_state, val_delta;
+  };
+
+  const std::size_t fit_dim = t.fit_widths_.size() + 1;
+  const int ccd = static_cast<int>(t.const_values_.size()) + 1;
+  std::vector<std::int32_t> const_state(
+      fit_dim * static_cast<std::size_t>(ccd), -1);
+  for (const auto& [key, sid] : const_state_by_pair) {
+    std::size_t fit1 = static_cast<std::size_t>(key >> 32);
+    std::size_t cc1 = static_cast<std::size_t>(key & 0xffffffff);
+    const_state[fit1 * static_cast<std::size_t>(ccd) + cc1] = sid;
+  }
+
+  // Bucket the transitions by (term, arity).
+  const std::size_t terms = t.rules_by_terminal_.size();
+  using Entry = std::pair<const TransKey, Transition>;
+  std::vector<std::vector<std::pair<int, std::vector<const Entry*>>>> by_term(
+      terms);
+  for (const Entry& entry : trans) {
+    const TransKey& key = entry.first;
+    auto& groups = by_term[static_cast<std::size_t>(key.term)];
+    const int arity = static_cast<int>(key.children.size());
+    auto it = std::find_if(groups.begin(), groups.end(),
+                           [&](const auto& g) { return g.first == arity; });
+    if (it == groups.end()) {
+      groups.emplace_back(arity, std::vector<const Entry*>{});
+      it = groups.end() - 1;
+    }
+    it->second.push_back(&entry);
+  }
+
+  std::vector<std::int32_t> op_begin(terms, 0);
+  std::vector<std::int32_t> op_end(terms, 0);
+  std::vector<OpBuild> built;
+  std::size_t transitions = 0;
+  const std::size_t sc = rows.size();
+  // Transition-slot numbering (coverage identity): each op owns a
+  // contiguous span — one slot for a leaf, check.size() slots for a packed
+  // op (holes where check stays -1 are simply never hit).
+  std::size_t slot_running = 0;
+  for (std::size_t term = 0; term < terms; ++term) {
+    op_begin[term] = static_cast<std::int32_t>(built.size());
+    for (auto& [arity, entries] : by_term[term]) {
+      OpBuild op;
+      op.term = static_cast<std::int32_t>(term);
+      op.arity = arity;
+      if (arity == 0) {
+        op.has_leaf = true;
+        op.leaf = entries.front()->second;
+        op.slot_base = static_cast<std::int32_t>(slot_running);
+        slot_running += 1;
+        transitions += 1;
+        built.push_back(std::move(op));
+        continue;
       }
-      int last = inv[k - 1][static_cast<std::size_t>(col)];
-      if (last < 0) valid = false;
-      key.children[k - 1] = last;
-      if (!valid) continue;
-      trans_.emplace(std::move(key),
-                     Transition{op.val_state[slot], op.val_delta[slot]});
+      const std::size_t k = static_cast<std::size_t>(arity);
+      // Chase-style index maps: per child position, child state -> compact
+      // index over the states actually seen there.
+      op.dims.assign(k, 0);
+      op.maps.assign(k * sc, -1);
+      for (const Entry* e : entries)
+        for (std::size_t p = 0; p < k; ++p) {
+          std::int32_t& slot = op.maps[p * sc + static_cast<std::size_t>(
+                                                    e->first.children[p])];
+          if (slot < 0) slot = op.dims[p]++;
+        }
+      std::size_t row_count = 1;
+      for (std::size_t p = 0; p + 1 < k; ++p)
+        row_count *= static_cast<std::size_t>(op.dims[p]);
+      const std::size_t col_count = static_cast<std::size_t>(op.dims[k - 1]);
+      if (row_count > kMaxFrozenRows) continue;  // computed per parse
+
+      // Row-displacement packing: rows (all but the last child index,
+      // flattened) share one value array; a check column verifies the
+      // probed slot belongs to the probing row.
+      std::vector<std::vector<std::pair<std::int32_t, Transition>>> dense(
+          row_count);
+      for (const Entry* e : entries) {
+        std::int32_t row = 0;
+        for (std::size_t p = 0; p + 1 < k; ++p)
+          row = row * op.dims[p] +
+                op.maps[p * sc +
+                        static_cast<std::size_t>(e->first.children[p])];
+        std::int32_t col =
+            op.maps[(k - 1) * sc +
+                    static_cast<std::size_t>(e->first.children[k - 1])];
+        dense[static_cast<std::size_t>(row)].emplace_back(col, e->second);
+      }
+      std::vector<std::size_t> order(row_count);
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return dense[a].size() > dense[b].size();
+                       });
+      op.disp.assign(row_count, 0);
+      op.check.assign(col_count, -1);
+      op.val_state.assign(col_count, -1);
+      op.val_delta.assign(col_count, 0);
+      for (std::size_t r : order) {
+        if (dense[r].empty()) continue;
+        std::size_t d = 0;
+        for (;; ++d) {
+          bool fits = true;
+          for (const auto& [col, tr] : dense[r]) {
+            (void)tr;
+            std::size_t slot = d + static_cast<std::size_t>(col);
+            if (slot < op.check.size() && op.check[slot] != -1) {
+              fits = false;
+              break;
+            }
+          }
+          if (fits) break;
+        }
+        std::size_t need = d + col_count;
+        if (op.check.size() < need) {
+          op.check.resize(need, -1);
+          op.val_state.resize(need, -1);
+          op.val_delta.resize(need, 0);
+        }
+        op.disp[r] = static_cast<std::int32_t>(d);
+        for (const auto& [col, tr] : dense[r]) {
+          std::size_t slot = d + static_cast<std::size_t>(col);
+          op.check[slot] = static_cast<std::int32_t>(r);
+          op.val_state[slot] = tr.state;
+          op.val_delta[slot] = tr.delta;
+        }
+        transitions += dense[r].size();
+      }
+      op.slot_base = static_cast<std::int32_t>(slot_running);
+      slot_running += op.check.size();
+      built.push_back(std::move(op));
     }
+    op_end[term] = static_cast<std::int32_t>(built.size());
   }
-  const std::size_t fit_dim =
-      f.cc_dim > 0 ? f.const_state.size() / static_cast<std::size_t>(f.cc_dim)
-                   : 0;
-  for (std::size_t fit1 = 0; fit1 < fit_dim; ++fit1)
-    for (std::size_t cc1 = 0; cc1 < static_cast<std::size_t>(f.cc_dim);
-         ++cc1) {
-      std::int32_t sid =
-          f.const_state[fit1 * static_cast<std::size_t>(f.cc_dim) + cc1];
-      if (sid < 0) continue;
-      std::int64_t key = (static_cast<std::int64_t>(fit1) << 32) |
-                         static_cast<std::int64_t>(cc1);
-      const_state_by_pair_.emplace(key, sid);
-    }
-}
 
-void TargetTables::freeze() const {
-  std::unique_lock lock(mu_);
-  freeze_locked();
-}
+  // Pack everything into one position-independent pool, then point the
+  // views at it.
+  const std::size_t stride = static_cast<std::size_t>(t.stride_);
+  std::size_t words =
+      kPoolHeaderWords + sc * stride + const_state.size() + 2 * terms;
+  for (const OpBuild& b : built)
+    words += kPoolOpHeaderWords + b.dims.size() + b.maps.size() +
+             b.disp.size() + 3 * b.check.size();
 
-void TargetTables::count_miss_and_maybe_refreeze(
-    const FrozenTables* f) const {
-  if (!freeze_enabled_ || f == nullptr) return;
-  obs::metrics().counter("burstab.frozen_miss").add(1);
-  std::uint64_t n = frozen_misses_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n < refreeze_misses_) return;
-  std::unique_lock lock(mu_);
-  // Raced re-check: another thread may have refrozen (and reset the
-  // counter) while this one waited for the lock.
-  if (frozen_misses_.load(std::memory_order_relaxed) < refreeze_misses_)
-    return;
-  // Superseded snapshots are retained for the tables' lifetime (lock-free
-  // readers may still hold them), so re-freezing must stay bounded: skip
-  // when nothing new would fold in (misses against an operator freeze()
-  // can never cover, e.g. past kMaxFrozenRows) and stop churning past a
-  // hard snapshot cap — the memoised hash path keeps serving correctly.
-  if (trans_.size() == frozen_source_transitions_ ||
-      freeze_count_ >= kMaxFreezes) {
-    frozen_misses_.store(0, std::memory_order_relaxed);
-    return;
+  auto f = std::make_unique<FrozenTables>();
+  std::vector<std::int32_t>& pool = f->pool;
+  pool.reserve(words);
+  pool.push_back(kPoolByteOrder);
+  pool.push_back(static_cast<std::int32_t>(sc));
+  pool.push_back(t.stride_);
+  pool.push_back(static_cast<std::int32_t>(fit_dim));
+  pool.push_back(ccd);
+  pool.push_back(static_cast<std::int32_t>(terms));
+  pool.push_back(static_cast<std::int32_t>(built.size()));
+  pool.push_back(static_cast<std::int32_t>(transitions));
+  pool.push_back(static_cast<std::int32_t>(slot_running));
+  pool.insert(pool.end(), 3, 0);  // reserved
+  for (const std::unique_ptr<std::int32_t[]>& row : rows)
+    pool.insert(pool.end(), row.get(), row.get() + stride);
+  pool.insert(pool.end(), const_state.begin(), const_state.end());
+  pool.insert(pool.end(), op_begin.begin(), op_begin.end());
+  pool.insert(pool.end(), op_end.begin(), op_end.end());
+  for (const OpBuild& b : built) {
+    pool.push_back(b.term);
+    pool.push_back(b.arity);
+    pool.push_back(b.has_leaf ? 1 : 0);
+    pool.push_back(b.leaf.state);
+    pool.push_back(b.leaf.delta);
+    pool.push_back(b.slot_base);
+    pool.push_back(static_cast<std::int32_t>(b.disp.size()));
+    pool.push_back(static_cast<std::int32_t>(b.check.size()));
+    pool.insert(pool.end(), b.dims.begin(), b.dims.end());
+    pool.insert(pool.end(), b.maps.begin(), b.maps.end());
+    pool.insert(pool.end(), b.disp.begin(), b.disp.end());
+    pool.insert(pool.end(), b.check.begin(), b.check.end());
+    pool.insert(pool.end(), b.val_state.begin(), b.val_state.end());
+    pool.insert(pool.end(), b.val_delta.begin(), b.val_delta.end());
   }
-  freeze_locked();
+  assert(pool.size() == words);
+  [[maybe_unused]] const bool ok = f->init_from_pool(
+      pool.data(), pool.size(), t.stride_, terms, fit_dim, ccd);
+  assert(ok && "self-built pool must validate");
+  return f;
 }
 
-// --- parser-facing lookups --------------------------------------------------
-
-int TargetTables::fit_index_of(std::int64_t value) const {
-  for (std::size_t i = 0; i < fit_widths_.size(); ++i)
-    if (treeparse::TreeParser::immediate_fits(value, fit_widths_[i]))
-      return static_cast<int>(i);
-  return -1;
+void TargetTables::adopt(std::unique_ptr<FrozenTables> f) {
+  frozen_ = std::move(f);
+  const std::size_t n = static_cast<std::size_t>(frozen_->state_count);
+  row_index_ = RowIndex(n, RowHash{stride()}, RowEq{stride()});
+  for (std::size_t id = 0; id < n; ++id)
+    row_index_.emplace(frozen_->rows[id], static_cast<int>(id));
 }
 
-int TargetTables::const_class_index(std::int64_t value) const {
-  auto it = const_class_of_.find(value);
-  return it == const_class_of_.end() ? -1 : it->second;
-}
-
-int TargetTables::const_leaf_state(std::int64_t value) const {
-  int fit_index = fit_index_of(value);
-  int const_class = const_class_index(value);
-  const FrozenTables* f = frozen();
-  if (f) {
-    int sid = f->const_lookup(fit_index, const_class);
-    if (sid >= 0) return sid;
-  }
-  std::int64_t key = const_pair_key(fit_index, const_class);
-  {
-    std::shared_lock lock(mu_);
-    auto it = const_state_by_pair_.find(key);
-    if (it != const_state_by_pair_.end()) {
-      int sid = it->second;
-      lock.unlock();
-      count_miss_and_maybe_refreeze(f);
-      return sid;
-    }
-  }
-  int id;
-  {
-    std::unique_lock lock(mu_);
-    auto it = const_state_by_pair_.find(key);
-    if (it != const_state_by_pair_.end()) {
-      id = it->second;
-    } else {
-      id = compute_const_state_locked(fit_index, const_class);
-      const_state_by_pair_.emplace(key, id);
-    }
-  }
-  count_miss_and_maybe_refreeze(f);
-  return id;
-}
-
-TargetTables::Transition TargetTables::transition(
-    TermId term, const std::vector<int>& children) const {
-  const FrozenTables* f = frozen();
-  if (f) {
-    Transition t;
-    if (f->lookup(term, children.data(), children.size(), t)) return t;
-  }
-  return transition_cold(term, children);
-}
-
-TargetTables::Transition TargetTables::transition_cold(
-    TermId term, const std::vector<int>& children) const {
-  const FrozenTables* f = frozen();
-  TransKeyView view{term, &children};
-  {
-    std::shared_lock lock(mu_);
-    auto it = trans_.find(view);
-    if (it != trans_.end()) {
-      Transition t = it->second;
-      lock.unlock();
-      count_miss_and_maybe_refreeze(f);
-      return t;
-    }
-  }
-  Transition t;
-  {
-    std::unique_lock lock(mu_);
-    auto it = trans_.find(view);
-    if (it != trans_.end()) {
-      t = it->second;
-    } else {
-      t = compute_transition_locked(term, children);
-      trans_.emplace(TransKey{term, children}, t);
-    }
-  }
-  count_miss_and_maybe_refreeze(f);
-  return t;
-}
-
-const std::vector<int>& TargetTables::constrained_rules_of(TermId t) const {
-  static const std::vector<int> kEmpty;
-  if (t < 0 || static_cast<std::size_t>(t) >= constrained_by_terminal_.size())
-    return kEmpty;
-  return constrained_by_terminal_[static_cast<std::size_t>(t)];
-}
+// --- parser-facing accessors ------------------------------------------------
 
 bool TargetTables::ConstrainedPrecheck::check(
     const treeparse::SubjectNode& node) const {
@@ -1126,82 +1065,18 @@ TargetTables::constrained_prechecks_of(TermId t) const {
 }
 
 void TargetTables::raw_candidates(TermId term,
-                                  const std::vector<int>& children,
-                                  std::vector<int>& cost,
+                                  const std::int32_t* const* kid_rows,
+                                  std::size_t k, std::vector<int>& cost,
                                   std::vector<int>& rule) const {
-  std::shared_lock lock(mu_);
-  const std::size_t k = children.size();
-  cost.assign(static_cast<std::size_t>(nt_count_), kInf);
-  rule.assign(static_cast<std::size_t>(nt_count_), -1);
-  for (const RulePlan& plan :
-       rules_by_terminal_[static_cast<std::size_t>(term)]) {
-    if (plan.pattern->children.size() != k) continue;
-    int sum = 0;
-    for (std::size_t i = 0; i < k && sum < kInf; ++i)
-      sum = sat_add(sum, rel_match_locked(*plan.pattern->children[i],
-                                          state_row_locked(children[i])));
-    if (sum >= kInf) continue;
-    int total = sat_add(sum, plan.cost);
-    std::size_t lhs = static_cast<std::size_t>(plan.lhs);
-    if (total < cost[lhs]) {
-      cost[lhs] = total;
-      rule[lhs] = plan.id;
-    }
-  }
-}
-
-int TargetTables::intern_state(const StateData& s) const {
-  // The fallback path re-interns the states of side-constrained nodes on
-  // every parse; under concurrent readers the state almost always exists
-  // already, so probe under the shared lock before escalating.
-  thread_local std::vector<std::int32_t> row;
-  row.resize(static_cast<std::size_t>(stride_));
-  fill_row_from_state(s, row.data());
-  {
-    std::shared_lock lock(mu_);
-    auto it = state_index_.find(RowKey{row.data()});
-    if (it != state_index_.end()) return it->second;
-  }
-  std::unique_lock lock(mu_);
-  return intern_row_locked(row.data());
-}
-
-StateData TargetTables::state(int id) const {
-  std::shared_lock lock(mu_);
-  const std::int32_t* row = state_row_locked(id);
-  const std::size_t nts = static_cast<std::size_t>(nt_count_);
-  const std::size_t subs = subpatterns_.size();
-  StateData s;
-  s.cost.assign(row, row + nts);
-  s.rule.assign(row + nts, row + 2 * nts);
-  s.sub.assign(row + 2 * nts, row + 2 * nts + subs);
-  const std::int32_t* meta = row + stride_ - 3;
-  s.is_const_leaf = meta[0] != 0;
-  s.fit_width_index = meta[1];
-  s.const_class = meta[2];
-  return s;
-}
-
-StateView TargetTables::state_view(int id) const {
-  std::shared_lock lock(mu_);
-  return view_of_row(state_row_locked(id));
+  cost.resize(static_cast<std::size_t>(nt_count_));
+  rule.resize(static_cast<std::size_t>(nt_count_));
+  match_rules(term, kid_rows, k, cost.data(), rule.data());
 }
 
 bool TargetTables::terminal_has_constrained(TermId t) const {
   return t >= 0 &&
          static_cast<std::size_t>(t) < terminal_constrained_.size() &&
          terminal_constrained_[static_cast<std::size_t>(t)];
-}
-
-bool TargetTables::rule_is_constrained(int rule_id) const {
-  return rule_id >= 0 &&
-         static_cast<std::size_t>(rule_id) < constrained_rule_.size() &&
-         constrained_rule_[static_cast<std::size_t>(rule_id)];
-}
-
-int TargetTables::subpattern_index(const PatNode* p) const {
-  auto it = sub_index_.find(p);
-  return it == sub_index_.end() ? -1 : it->second;
 }
 
 const std::vector<int>& TargetTables::subpatterns_of_terminal(
@@ -1216,220 +1091,57 @@ const PatNode* TargetTables::subpattern(int index) const {
   return subpatterns_[static_cast<std::size_t>(index)];
 }
 
-TableStats TargetTables::stats() const {
-  std::shared_lock lock(mu_);
-  TableStats s;
-  s.states = static_cast<std::size_t>(state_count_);
-  s.transitions = trans_.size();
-  s.subpatterns = subpatterns_.size();
-  std::size_t constrained = 0;
-  for (bool b : constrained_rule_)
-    if (b) ++constrained;
-  s.constrained_rules = constrained;
-  s.table_rules = constrained_rule_.size() - constrained;
-  s.const_classes = const_state_by_pair_.size();
-  s.closure_complete = closure_complete_;
-  s.freezes = freeze_count_;
-  if (const FrozenTables* f = frozen_ptr_.load(std::memory_order_relaxed)) {
-    s.frozen_states = static_cast<std::size_t>(f->state_count);
-    s.frozen_transitions = f->transitions;
-  }
-  s.frozen_misses = frozen_misses_.load(std::memory_order_relaxed);
-  return s;
+void TargetTables::count_misses(std::size_t n) const {
+  misses_.fetch_add(n, std::memory_order_relaxed);
+  obs::metrics().counter("burstab.frozen_miss").add(n);
 }
 
-// --- eager closure ----------------------------------------------------------
-
-void TargetTables::run_closure(const TableBuildOptions& options) {
-  std::unique_lock lock(mu_);
-  const std::size_t work_cap = options.max_transitions * 64;
-  std::size_t work = 0;
-
-  // Leaf seeding: one state per hardwired pattern constant, one per
-  // immediate-fit class, one per leaf operator.
-  for (std::int64_t v : const_values_) {
-    int fit_index = fit_index_of(v);
-    std::int64_t key = const_pair_key(fit_index, const_class_of_.at(v));
-    if (!const_state_by_pair_.count(key))
-      const_state_by_pair_.emplace(
-          key, compute_const_state_locked(fit_index, const_class_of_.at(v)));
-  }
-  for (int fi = -1; fi < static_cast<int>(fit_widths_.size()); ++fi) {
-    std::int64_t key = const_pair_key(fi, -1);
-    if (!const_state_by_pair_.count(key))
-      const_state_by_pair_.emplace(key,
-                                   compute_const_state_locked(fi, -1));
-  }
-  const std::vector<int> no_children;
-  for (std::size_t t = 0; t < rules_by_terminal_.size(); ++t) {
-    if (terminal_constrained_[t]) continue;
-    TransKey key{static_cast<TermId>(t), no_children};
-    if (!trans_.count(key))
-      trans_.emplace(key, compute_transition_locked(static_cast<TermId>(t),
-                                                    no_children));
-  }
-
-  // Bottom-up closure: combine known states under every operator arity until
-  // nothing new appears or a budget is hit. Tuples whose prefix already
-  // rules out every rule and subpattern are pruned.
-  std::size_t frontier_begin = 0;
-  bool out_of_budget = false;
-  while (frontier_begin < static_cast<std::size_t>(state_count_) &&
-         !out_of_budget) {
-    std::size_t frontier_end = static_cast<std::size_t>(state_count_);
-    for (std::size_t t = 0;
-         t < rules_by_terminal_.size() && !out_of_budget; ++t) {
-      if (terminal_constrained_[t]) continue;
-      if (static_cast<TermId>(t) == const_term_) continue;
-      for (int arity : arities_by_terminal_[t]) {
-        if (arity < 1) continue;
-        std::vector<const RulePlan*> plans;
-        for (const RulePlan& p :
-             rules_by_terminal_[t])
-          if (static_cast<int>(p.pattern->children.size()) == arity)
-            plans.push_back(&p);
-        std::vector<const PatNode*> subs;
-        for (int qi : subs_by_terminal_[t]) {
-          const PatNode* q = subpatterns_[static_cast<std::size_t>(qi)];
-          if (static_cast<int>(q->children.size()) == arity)
-            subs.push_back(q);
-        }
-        if (plans.empty() && subs.empty()) continue;
-
-        std::vector<int> tuple(static_cast<std::size_t>(arity));
-        auto enumerate = [&](auto&& self, int pos, bool has_new) -> void {
-          if (out_of_budget) return;
-          if (++work > work_cap ||
-              static_cast<std::size_t>(state_count_) >= options.max_states ||
-              trans_.size() >= options.max_transitions) {
-            out_of_budget = true;
-            return;
-          }
-          if (pos == arity) {
-            if (!has_new) return;
-            TransKey key{static_cast<TermId>(t), tuple};
-            if (trans_.count(key)) return;
-            trans_.emplace(std::move(key),
-                           compute_transition_locked(
-                               static_cast<TermId>(t), tuple));
-            return;
-          }
-          for (std::size_t sid = 0; sid < frontier_end; ++sid) {
-            const std::int32_t* s = state_row_locked(static_cast<int>(sid));
-            // Prune: some rule or subpattern must still be able to match
-            // with this state at position `pos`.
-            bool viable = false;
-            for (const RulePlan* p : plans) {
-              if (rel_match_locked(
-                      *p->pattern->children[static_cast<std::size_t>(pos)],
-                      s) < kInf) {
-                viable = true;
-                break;
-              }
-            }
-            if (!viable) {
-              for (const PatNode* q : subs) {
-                if (rel_match_locked(
-                        *q->children[static_cast<std::size_t>(pos)], s) <
-                    kInf) {
-                  viable = true;
-                  break;
-                }
-              }
-            }
-            if (!viable) continue;
-            tuple[static_cast<std::size_t>(pos)] = static_cast<int>(sid);
-            self(self, pos + 1, has_new || sid >= frontier_begin);
-            if (out_of_budget) return;
-          }
-        };
-        enumerate(enumerate, 0, false);
-      }
-    }
-    frontier_begin = frontier_end;
-  }
-  closure_complete_ = !out_of_budget;
-  if (freeze_enabled_) freeze_locked();
+TableStats TargetTables::stats() const {
+  TableStats s;
+  s.states = static_cast<std::size_t>(frozen_->state_count);
+  s.transitions = frozen_->transitions;
+  s.subpatterns = subpatterns_.size();
+  s.table_rules = table_rules_;
+  s.constrained_rules = constrained_rules_;
+  for (std::size_t i = 0; i < frozen_->const_state.size(); ++i)
+    if (frozen_->const_state[i] >= 0) ++s.const_classes;
+  s.closure_complete = closure_complete_;
+  s.frozen_misses = misses_.load(std::memory_order_relaxed);
+  return s;
 }
 
 // --- persistence ------------------------------------------------------------
 
 namespace {
-// "BTR3": frozen tables persist their position-independent pool verbatim
-// (mmap-able, zero-copy); hash-mode tables keep the BTR2-era dynamic
-// states + transitions sections. The magic bump keeps stale blobs out.
-constexpr std::uint32_t kTablesMagic = 0x42545233;
+// "BTR4": the position-independent pool verbatim (mmap-able, zero-copy).
+// BTR3 also carried a hash-mode section behind a mode byte; the magic bump
+// keeps those blobs out.
+constexpr std::uint32_t kTablesMagic = 0x42545234;
 }
 
 void TargetTables::serialize(std::string& out) const {
-  // Exclusive (not shared) because serializing frozen tables may first fold
-  // pending dynamic fills into a fresh snapshot.
-  std::unique_lock lock(mu_);
   ByteWriter w;
   w.u32(kTablesMagic);
   w.u64(fingerprint_);
   w.u32(static_cast<std::uint32_t>(nt_count_));
   w.u32(static_cast<std::uint32_t>(subpatterns_.size()));
   w.u8(closure_complete_ ? 1 : 0);
-  const FrozenTables* f = frozen_ptr_.load(std::memory_order_relaxed);
-  const bool frozen_mode = freeze_enabled_ && f != nullptr;
-  w.u8(frozen_mode ? 1 : 0);
-  if (frozen_mode) {
-    // The pool must cover every memoised entry. Transitions on operators
-    // past kMaxFrozenRows are the one exception: they stay hash-only and
-    // are re-derived on demand after a warm load (a perf footnote on a
-    // pathological operator, never a correctness issue).
-    if (trans_.size() != frozen_source_transitions_ ||
-        const_state_by_pair_.size() != frozen_source_const_) {
-      freeze_locked();
-      f = frozen_ptr_.load(std::memory_order_relaxed);
-    }
-    w.u32(static_cast<std::uint32_t>(f->pool_words));
-    // Pad so the pool lands 4-byte aligned relative to the start of `out`
-    // (the cache blob header is a multiple of 4 bytes, so payload-relative
-    // alignment is file-relative alignment — the mmap zero-copy condition).
-    std::size_t here = out.size() + w.bytes().size() + 1;  // + pad_len byte
-    std::uint8_t pad = static_cast<std::uint8_t>((4 - here % 4) % 4);
-    w.u8(pad);
-    for (std::uint8_t i = 0; i < pad; ++i) w.u8(0);
-    w.raw(f->pool_data, f->pool_words * sizeof(std::int32_t));
-    w.append_to(out);
-    return;
-  }
-  w.u32(static_cast<std::uint32_t>(state_count_));
-  const std::size_t payload =
-      static_cast<std::size_t>(stride_) - 3;  // cost + rule + sub
-  for (int id = 0; id < state_count_; ++id) {
-    const std::int32_t* row = state_row_locked(id);
-    for (std::size_t i = 0; i < payload; ++i) w.i32(row[i]);
-    const std::int32_t* meta = row + stride_ - 3;
-    w.u8(meta[0] != 0 ? 1 : 0);
-    w.i32(meta[1]);
-    w.i32(meta[2]);
-  }
-  w.u32(static_cast<std::uint32_t>(trans_.size()));
-  for (const auto& [key, t] : trans_) {
-    w.i32(key.term);
-    w.u32(static_cast<std::uint32_t>(key.children.size()));
-    for (int c : key.children) w.i32(c);
-    w.i32(t.state);
-    w.i32(t.delta);
-  }
-  w.u32(static_cast<std::uint32_t>(const_state_by_pair_.size()));
-  for (const auto& [key, sid] : const_state_by_pair_) {
-    w.i64(key);
-    w.i32(sid);
-  }
+  w.u32(static_cast<std::uint32_t>(frozen_->pool_words));
+  // Pad so the pool lands 4-byte aligned relative to the start of `out`
+  // (the cache blob header is a multiple of 4 bytes, so payload-relative
+  // alignment is file-relative alignment — the mmap zero-copy condition).
+  std::size_t here = out.size() + w.bytes().size() + 1;  // + pad_len byte
+  std::uint8_t pad = static_cast<std::uint8_t>((4 - here % 4) % 4);
+  w.u8(pad);
+  for (std::uint8_t i = 0; i < pad; ++i) w.u8(0);
+  w.raw(frozen_->pool_data, frozen_->pool_words * sizeof(std::int32_t));
   w.append_to(out);
 }
 
 std::unique_ptr<TargetTables> TargetTables::deserialize(
     const grammar::TreeGrammar& g, std::string_view blob,
     std::size_t& offset, std::shared_ptr<const void> pin) {
-  TableBuildOptions no_precompute;
-  no_precompute.precompute = false;
-  no_precompute.freeze = false;  // adopted below iff the blob was frozen
-  auto tables = std::make_unique<TargetTables>(g, no_precompute);
+  std::unique_ptr<TargetTables> tables(new TargetTables(g, NoBuild{}));
 
   ByteReader r(blob, offset);
   if (r.u32() != kTablesMagic) return nullptr;
@@ -1438,89 +1150,39 @@ std::unique_ptr<TargetTables> TargetTables::deserialize(
   if (r.u32() != static_cast<std::uint32_t>(tables->subpatterns_.size()))
     return nullptr;
   tables->closure_complete_ = r.u8() != 0;
-  const bool was_frozen = r.u8() != 0;
-  // Hash-mode blobs stay hash-mode; frozen blobs keep the re-freeze policy.
-  tables->freeze_enabled_ = was_frozen;
-  if (was_frozen) {
-    // Frozen pool: validate and adopt in place — no state re-interning, no
-    // transition rehash, no re-freeze. Zero-copy when the caller pins the
-    // blob's memory (mmap) and the pool is aligned; one memcpy otherwise.
-    OBS_SPAN("burstab.tables.map");
-    std::uint32_t n_words = r.u32();
-    std::uint8_t pad = r.u8();
-    if (!r.ok() || pad > 3) return nullptr;
-    for (std::uint8_t i = 0; i < pad; ++i) (void)r.u8();
-    if (!r.ok()) return nullptr;
-    const std::size_t pos = r.pos();
-    if (n_words > (blob.size() - pos) / sizeof(std::int32_t)) return nullptr;
-    const char* bytes = blob.data() + pos;
-    auto f = std::make_unique<FrozenTables>();
-    const std::int32_t* pool;
-    const bool aligned =
-        (reinterpret_cast<std::uintptr_t>(bytes) & 3u) == 0;
-    if (pin && aligned) {
-      pool = reinterpret_cast<const std::int32_t*>(bytes);
-      f->pin = std::move(pin);
-      obs::metrics().counter("burstab.tables.map_zero_copy").add(1);
-    } else {
-      f->pool.resize(n_words);
-      std::memcpy(f->pool.data(), bytes,
-                  static_cast<std::size_t>(n_words) * sizeof(std::int32_t));
-      pool = f->pool.data();
-      obs::metrics().counter("burstab.tables.map_copied").add(1);
-    }
-    if (!f->init_from_pool(pool, n_words, tables->stride_,
-                           tables->rules_by_terminal_.size(),
-                           tables->fit_widths_.size() + 1,
-                           static_cast<int>(tables->const_values_.size()) + 1))
-      return nullptr;
-    offset = pos + static_cast<std::size_t>(n_words) * sizeof(std::int32_t);
-    std::unique_lock lock(tables->mu_);
-    tables->adopt_pool_locked(std::move(f));
-    return tables;
-  }
-  std::uint32_t n_states = r.u32();
-  if (n_states > 1u << 22) return nullptr;
-  const std::size_t payload =
-      static_cast<std::size_t>(tables->stride_) - 3;
-  std::vector<std::int32_t> row(static_cast<std::size_t>(tables->stride_));
-  for (std::uint32_t i = 0; i < n_states && r.ok(); ++i) {
-    for (std::size_t j = 0; j < payload; ++j) row[j] = r.i32();
-    row[payload] = r.u8() != 0 ? 1 : 0;
-    row[payload + 1] = r.i32();
-    row[payload + 2] = r.i32();
-    if (!r.ok()) return nullptr;
-    if (tables->intern_row_locked(row.data()) != static_cast<int>(i))
-      return nullptr;  // duplicate or reordered states: corrupt blob
-  }
-  std::uint32_t n_trans = r.u32();
-  if (n_trans > 1u << 24) return nullptr;
-  for (std::uint32_t i = 0; i < n_trans && r.ok(); ++i) {
-    TransKey key;
-    key.term = r.i32();
-    std::uint32_t k = r.u32();
-    if (k > 64) return nullptr;
-    key.children.resize(k);
-    for (std::uint32_t j = 0; j < k; ++j) key.children[j] = r.i32();
-    Transition t;
-    t.state = r.i32();
-    t.delta = r.i32();
-    if (!r.ok() || t.state < 0 || t.state >= tables->state_count_)
-      return nullptr;
-    for (int c : key.children)
-      if (c < 0 || c >= tables->state_count_) return nullptr;
-    tables->trans_.emplace(std::move(key), t);
-  }
-  std::uint32_t n_const = r.u32();
-  if (n_const > 1u << 22) return nullptr;
-  for (std::uint32_t i = 0; i < n_const && r.ok(); ++i) {
-    std::int64_t key = r.i64();
-    int sid = r.i32();
-    if (sid < 0 || sid >= tables->state_count_) return nullptr;
-    tables->const_state_by_pair_.emplace(key, sid);
-  }
+  // Validate and adopt the pool in place — no closure, no re-packing.
+  // Zero-copy when the caller pins the blob's memory (mmap) and the pool is
+  // aligned; one memcpy otherwise.
+  OBS_SPAN("burstab.tables.map");
+  std::uint32_t n_words = r.u32();
+  std::uint8_t pad = r.u8();
+  if (!r.ok() || pad > 3) return nullptr;
+  for (std::uint8_t i = 0; i < pad; ++i) (void)r.u8();
   if (!r.ok()) return nullptr;
-  offset = r.pos();
+  const std::size_t pos = r.pos();
+  if (n_words > (blob.size() - pos) / sizeof(std::int32_t)) return nullptr;
+  const char* bytes = blob.data() + pos;
+  auto f = std::make_unique<FrozenTables>();
+  const std::int32_t* pool;
+  const bool aligned = (reinterpret_cast<std::uintptr_t>(bytes) & 3u) == 0;
+  if (pin && aligned) {
+    pool = reinterpret_cast<const std::int32_t*>(bytes);
+    f->pin = std::move(pin);
+    obs::metrics().counter("burstab.tables.map_zero_copy").add(1);
+  } else {
+    f->pool.resize(n_words);
+    std::memcpy(f->pool.data(), bytes,
+                static_cast<std::size_t>(n_words) * sizeof(std::int32_t));
+    pool = f->pool.data();
+    obs::metrics().counter("burstab.tables.map_copied").add(1);
+  }
+  if (!f->init_from_pool(pool, n_words, tables->stride_,
+                         tables->rules_by_terminal_.size(),
+                         tables->fit_widths_.size() + 1,
+                         static_cast<int>(tables->const_values_.size()) + 1))
+    return nullptr;
+  offset = pos + static_cast<std::size_t>(n_words) * sizeof(std::int32_t);
+  tables->adopt(std::move(f));
   return tables;
 }
 

@@ -16,58 +16,48 @@
 //
 // Subtrees with equal signatures are interchangeable, so signatures are
 // interned as *states* and per-node labelling becomes a single transition
-// lookup (operator, child states) -> (state, cost delta). Transitions are
-// precomputed bottom-up at table-construction time under a budget and filled
-// in dynamically (memoised, thread-safe) for combinations first met at parse
-// time; both populations are serialisable, so a persistent TargetCache warms
-// future runs to pure-lookup speed.
+// lookup (operator, child states) -> (state, cost delta).
 //
-// Two storage layers serve those lookups:
+// Like burg's, these tables are built once and never change. Construction
+// runs a bounded bottom-up closure over the leaf states (its state arena and
+// transition map are locals of the build) and packs the result into one
+// FrozenTables — the Chase-style compressed form. Per operator and arity it
+// keeps child-position index maps (child state -> compact index, -1 = never
+// seen in that position) and packs the resulting dense rows into a single
+// row-displaced value array with a check column, so a lookup is: per-child
+// map indexation, one displacement probe, one check compare — a handful of
+// array reads with no hashing and no lock. Every state signature is one
+// fixed-stride int32 row [cost(nts) | rule(nts) | sub(subs) | meta(3)].
 //
-//  * State signatures live in ONE flat interned arena (`states_flat_`
-//    blocks): every state is a fixed-stride row of int32s
-//    [cost(nts) | rule(nts) | sub(subs) | meta(3)], block-allocated so row
-//    addresses never move. Signature hashing/comparison sweeps one
-//    contiguous row instead of chasing three vectors.
+// The FrozenTables live in ONE contiguous, position-independent int32 pool
+// (offsets only — the Op arrays are Span32 views into the pool), so
+// serialize() writes the pool verbatim and deserialize() reconstitutes the
+// tables by pointing views at the blob: a warm TargetCache reload is a
+// validation pass plus O(states) setup. With a pinned, aligned mapping (the
+// cache's mmap tier) the pool is not even copied: N daemon processes share
+// one read-only page set.
 //
-//  * freeze() compacts the populated transitions into an immutable
-//    FrozenTables snapshot — the Chase-style compressed form. Per operator
-//    and arity it builds child-position index maps (child state -> compact
-//    index, -1 = never seen in that position) and packs the resulting dense
-//    rows into a single row-displaced value array with a check column, so a
-//    warm lookup is: per-child map indexation, one displacement probe, one
-//    check compare — a handful of array reads with NO hashing and NO lock.
-//    The snapshot is published through an atomic pointer (superseded
-//    snapshots are retained, so readers are never invalidated); cold misses
-//    fall back to the memoised hash path and, past a miss budget
-//    (TableBuildOptions::refreeze_misses), trigger an incremental re-freeze
-//    that folds the dynamically accumulated entries into a fresh snapshot.
-//
-//    A frozen snapshot lives in ONE contiguous, position-independent int32
-//    pool (offsets only — the Op arrays are Span32 views into the pool), so
-//    serialize() writes the pool verbatim and deserialize() reconstitutes a
-//    snapshot by pointing views at the blob: a warm TargetCache reload is a
-//    validation pass plus O(states) pointer setup — no re-interning, no
-//    transition rehash, no re-freeze. With a pinned, aligned mapping (the
-//    cache's mmap tier) the pool is not even copied: N daemon processes
-//    share one read-only page set. Post-load dynamic fills accumulate on
-//    the hash path as usual; the first genuine re-freeze first absorbs the
-//    pool's transitions back into the hash map so nothing is lost.
+// A lookup the tables cannot answer — the parent of a side-constrained node
+// whose signature is new, an operator with no table rule (the closure skips
+// operators that own a side-constrained rule), an operator too large to
+// pack — is computed at label time by compute_transition(), the same pure
+// function the build uses, into a per-job overlay owned by TableParser
+// (ids >= state_count), which also keeps the transitions it computed. Each computed row is first looked up in the
+// immutable row -> state index, so ancestors return to array probes.
+// Labels depend on rows, never on state ids, so the overlay is exact.
 //
 // Rules carrying side-constraints that a finite state cannot encode — two
 // Imm leaves drawing the same instruction field, or two leaves of one
 // non-terminal requiring structurally equal operands (x+x shifter patterns)
 // — are excluded from the tables. Nodes whose operator owns such a rule are
-// labelled through the shared treeparse::match_pattern_cost path instead and
-// re-interned, which keeps the engine *exactly* equivalent to the
-// interpreter, tie-breaking included.
+// labelled through the shared treeparse::match_pattern_cost path instead,
+// which keeps the engine *exactly* equivalent to the interpreter,
+// tie-breaking included.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -79,54 +69,20 @@ namespace record::burstab {
 
 inline constexpr int kInf = grammar::kInfCost;
 
-struct TableBuildOptions {
-  /// Run the bounded eager closure at construction time (leaf states plus
-  /// bottom-up reachable transitions). Off: tables fill purely on demand.
-  bool precompute = true;
-  /// Eager-closure budgets. The closure stops (and marks itself incomplete)
-  /// when either is hit; the remainder fills in dynamically at parse time.
-  std::size_t max_states = 512;
-  std::size_t max_transitions = 1u << 14;
-  /// Compact the tables into the frozen (dense, lock-free) form after the
-  /// eager closure / a warm-cache load, and re-freeze incrementally as
-  /// dynamic fills accumulate. Off: pure hash-map mode (the pre-freeze
-  /// engine; kept selectable for differential tests and benchmarks).
-  bool freeze = true;
-  /// Frozen-lookup misses tolerated before the next incremental re-freeze
-  /// folds the dynamically added states/transitions into a new snapshot.
-  std::size_t refreeze_misses = 64;
-};
-
 struct TableStats {
-  std::size_t states = 0;
-  std::size_t transitions = 0;
+  std::size_t states = 0;             // states in the tables
+  std::size_t transitions = 0;        // transitions in the tables
   std::size_t subpatterns = 0;
   std::size_t table_rules = 0;        // rules encoded in the tables
   std::size_t constrained_rules = 0;  // rules left to the fallback matcher
-  std::size_t const_classes = 0;      // distinct #const leaf behaviours seen
-  bool closure_complete = false;      // eager closure finished within budget
-  std::size_t freezes = 0;             // snapshots built (0 = hash mode)
-  std::size_t frozen_states = 0;       // states covered by the live snapshot
-  std::size_t frozen_transitions = 0;  // transitions in the live snapshot
-  std::size_t frozen_misses = 0;       // misses since the live snapshot
+  std::size_t const_classes = 0;      // distinct #const leaf behaviours
+  bool closure_complete = false;      // build closure finished within budget
+  /// Rows computed at label time because the tables could not answer (see
+  /// compute_transition), summed over every parse since construction.
+  std::size_t frozen_misses = 0;
 };
 
-/// Materialised state signature (construction, serialization and the
-/// fallback re-intern path; the hot path reads flat rows via StateView).
-struct StateData {
-  std::vector<int> cost;  // per non-terminal; kInf = not derivable
-  std::vector<int> rule;  // winning rule id per non-terminal; -1 = none
-  std::vector<int> sub;   // per registered subpattern; kInf = no match
-  bool is_const_leaf = false;
-  int fit_width_index = -1;  // index into fit widths; -1 = fits none / n.a.
-  int const_class = -1;      // index into hardwired values; -1 = none
-
-  friend bool operator==(const StateData&, const StateData&) = default;
-};
-
-/// Zero-copy view of one interned state row. The pointers target the flat
-/// state arena, whose rows never move once interned — a view stays valid
-/// for the lifetime of the tables, with no lock held.
+/// Zero-copy view of one state row [cost | rule | sub | meta].
 struct StateView {
   const std::int32_t* cost = nullptr;  // [nonterminal_count]
   const std::int32_t* rule = nullptr;  // [nonterminal_count]
@@ -136,9 +92,9 @@ struct StateView {
   int const_class = -1;
 };
 
-/// Non-owning view over int32s inside a frozen pool (the frozen snapshot
-/// stores offsets, never pointers, so blobs are position-independent; the
-/// views are materialised once per pool adoption).
+/// Non-owning view over int32s inside a frozen pool (the frozen tables
+/// store offsets, never pointers, so blobs are position-independent; the
+/// views are materialised once per pool).
 struct Span32 {
   const std::int32_t* ptr = nullptr;
   std::size_t len = 0;
@@ -149,6 +105,23 @@ struct Span32 {
   std::int32_t operator[](std::size_t i) const { return ptr[i]; }
 };
 
+/// Content hash and equality of `words`-wide signature rows, for indexes
+/// keyed by rows that live elsewhere (table pool, build arena, overlay).
+struct RowHash {
+  std::size_t words = 0;
+  std::size_t operator()(const std::int32_t* row) const;
+};
+struct RowEq {
+  std::size_t words = 0;
+  bool operator()(const std::int32_t* a, const std::int32_t* b) const;
+};
+/// Signature row -> state id.
+using RowIndex = std::unordered_map<const std::int32_t*, int, RowHash, RowEq>;
+
+/// Compiled BURS tables for one grammar. Immutable once constructed (the
+/// one write afterwards is the relaxed miss counter behind
+/// TableStats::frozen_misses), so any number of threads may label against
+/// one instance without synchronisation.
 class TargetTables {
  public:
   struct Transition {
@@ -156,14 +129,13 @@ class TargetTables {
     int delta = 0;  // node cost base = sum of child bases + delta
   };
 
-  /// The frozen (compressed, immutable) snapshot: Chase index maps plus a
-  /// row-displaced transition array per (operator, arity). Readers obtain
-  /// it via frozen() and probe without locking; every miss must fall back
-  /// to the owning TargetTables.
+  /// The compressed tables: Chase index maps plus a row-displaced
+  /// transition array per (operator, arity). Probed without locking; every
+  /// miss is computed by the caller (see TableParser).
   ///
   /// All table data lives in one contiguous int32 pool (see
   /// tables.cpp:pool layout); the members below are views into it. The pool
-  /// is owned (`pool` — built by freeze() or copied from a blob) or
+  /// is owned (`pool` — built by the closure or copied from a blob) or
   /// borrowed from a pinned mapping (`pin` — the zero-copy mmap tier).
   struct FrozenTables {
     int state_count = 0;
@@ -178,9 +150,9 @@ class TargetTables {
       std::int32_t arity = 0;
       bool has_leaf = false;
       Transition leaf{};                // arity == 0
-      /// First snapshot-global transition-slot id owned by this Op (leaf
-      /// ops own exactly one; packed ops own one per check/val column, with
-      /// holes where check is -1). Coverage maps index by these ids.
+      /// First transition-slot id owned by this Op (leaf ops own exactly
+      /// one; packed ops own one per check/val column, with holes where
+      /// check is -1). Coverage maps index by these ids.
       std::int32_t slot_base = 0;
       Span32 dims;   // [arity] compact index counts
       Span32 maps;   // arity x state_count -> index | -1
@@ -194,12 +166,11 @@ class TargetTables {
     Span32 op_end;
     std::size_t transitions = 0;
     /// One past the largest slot id (sum of all Ops' slot spans, holes
-    /// included). Slot ids identify transitions within THIS snapshot only;
-    /// a re-freeze renumbers them.
+    /// included).
     std::size_t slot_count = 0;
 
     /// Pool storage: exactly one of the two is set. `pin` keeps a shared
-    /// read-only mapping alive for the snapshot's lifetime. `pool_data` /
+    /// read-only mapping alive for the tables' lifetime. `pool_data` /
     /// `pool_words` always view the whole pool (serialize writes it back
     /// verbatim regardless of ownership).
     std::vector<std::int32_t> pool;
@@ -209,7 +180,7 @@ class TargetTables {
 
     /// Points rows/const_state/ops at a pool and validates its structure
     /// (every span in bounds, displacement invariants hold). `words` is the
-    /// pool length in int32s. False = malformed pool; the snapshot must be
+    /// pool length in int32s. False = malformed pool; the tables must be
     /// discarded.
     [[nodiscard]] bool init_from_pool(const std::int32_t* words,
                                       std::size_t word_count, int stride,
@@ -217,9 +188,9 @@ class TargetTables {
                                       std::size_t fit_dim_expected,
                                       int cc_dim_expected);
 
-    /// Lock-free warm-path probe; false = cold miss (caller falls back).
-    /// On a hit, `slot_out` (when non-null) receives the snapshot-global
-    /// transition-slot id — the coverage-map index of this transition.
+    /// Lock-free probe; false = miss (caller computes the transition).
+    /// On a hit, `slot_out` (when non-null) receives the transition-slot
+    /// id — the coverage-map index of this transition.
     [[nodiscard]] bool lookup(grammar::TermId term, const int* children,
                               std::size_t arity, Transition& out,
                               std::int32_t* slot_out = nullptr) const;
@@ -230,70 +201,48 @@ class TargetTables {
   /// Compiles the grammar into tables. The grammar may be moved afterwards
   /// (pattern nodes are heap-stable); it must not be destroyed or mutated
   /// while the tables are in use.
-  explicit TargetTables(const grammar::TreeGrammar& g,
-                        const TableBuildOptions& options = {});
+  explicit TargetTables(const grammar::TreeGrammar& g);
 
   TargetTables(const TargetTables&) = delete;
   TargetTables& operator=(const TargetTables&) = delete;
 
-  /// State for a "#const" leaf holding `value` (memoised per behaviour
-  /// class, not per value). Lock-free once the pair is frozen.
+  /// The compressed tables (never null).
+  [[nodiscard]] const FrozenTables* frozen() const { return frozen_.get(); }
+
+  /// State for a "#const" leaf holding `value`; -1 when the tables hold no
+  /// state for its behaviour class (compute_const_row then builds one).
   [[nodiscard]] int const_leaf_state(std::int64_t value) const;
 
-  /// State + base delta for an operator node over already-labelled children.
-  /// Probes the frozen snapshot first; computes and memoises the entry on
-  /// first use.
-  [[nodiscard]] Transition transition(grammar::TermId term,
-                                      const std::vector<int>& children) const;
+  /// State id of a signature row, or -1 when the tables do not hold it.
+  [[nodiscard]] int find_state(const std::int32_t* row) const;
 
-  /// The memoised (hash) path only — what transition() runs after a frozen
-  /// miss. Exposed so the parser can inline the frozen probe itself.
-  [[nodiscard]] Transition transition_cold(
-      grammar::TermId term, const std::vector<int>& children) const;
+  /// The miss path, shared with the build: the signature of an operator
+  /// node over child states with rows `child_rows` is written to `row`
+  /// (stride() int32s); returns the node's cost delta. Pure — nothing is
+  /// memoised.
+  [[nodiscard]] int compute_transition(grammar::TermId term,
+                                       const std::int32_t* const* child_rows,
+                                       std::size_t arity,
+                                       std::int32_t* row) const;
 
-  /// Interns an externally computed signature (fallback path) and returns
-  /// its state id. Read-probes under the shared lock before escalating to
-  /// the exclusive lock (re-interns of existing states are the common case
-  /// under concurrent parsing).
-  [[nodiscard]] int intern_state(const StateData& s) const;
+  /// Signature of a "#const" leaf holding `value`, written to `row`.
+  void compute_const_row(std::int64_t value, std::int32_t* row) const;
 
-  /// Snapshot of a state's signature, by value (tests, serialization).
-  [[nodiscard]] StateData state(int id) const;
+  /// Adds `n` label-time computations to TableStats::frozen_misses (and to
+  /// the process-wide "burstab.frozen_miss" counter).
+  void count_misses(std::size_t n) const;
 
-  /// View of a state's flat row. Takes the shared lock to resolve the row,
-  /// but the returned pointers stay valid lock-free afterwards (rows are
-  /// immutable and never move).
-  [[nodiscard]] StateView state_view(int id) const;
+  /// View of a signature row (a frozen row or a caller's overlay row).
+  [[nodiscard]] StateView view_of_row(const std::int32_t* row) const;
 
-  /// The live frozen snapshot, or null when unfrozen. The pointer (and
-  /// every superseded snapshot) stays valid for the tables' lifetime.
-  [[nodiscard]] const FrozenTables* frozen() const {
-    return frozen_ptr_.load(std::memory_order_acquire);
+  /// int32s per signature row: 2 * nonterminals + subpatterns + 3 meta.
+  [[nodiscard]] std::size_t stride() const {
+    return static_cast<std::size_t>(stride_);
   }
-
-  /// View over a frozen row id (valid for ids < frozen()->state_count).
-  [[nodiscard]] StateView frozen_state_view(const FrozenTables& f,
-                                            int id) const {
-    return view_of_row(f.rows[static_cast<std::size_t>(id)]);
-  }
-
-  /// Builds and publishes a fresh frozen snapshot from the current states
-  /// and transitions (idempotent; also run automatically by the eager
-  /// closure, warm deserialize and the miss-budget re-freeze policy when
-  /// TableBuildOptions::freeze is set).
-  void freeze() const;
 
   /// True if some rule rooted at this terminal carries a side-constraint
   /// (such nodes must be labelled through the fallback matcher).
   [[nodiscard]] bool terminal_has_constrained(grammar::TermId t) const;
-
-  /// True if the rule is side-constrained (excluded from the tables).
-  [[nodiscard]] bool rule_is_constrained(int rule_id) const;
-
-  /// Side-constrained rule ids rooted at `t`, in rule order (the candidates
-  /// the parser must hand to the fallback matcher at such nodes).
-  [[nodiscard]] const std::vector<int>& constrained_rules_of(
-      grammar::TermId t) const;
 
   /// One-level structural precheck of a side-constrained rule: the root
   /// arity plus the subject requirements of every non-NonTerm child
@@ -314,8 +263,7 @@ class TargetTables {
     [[nodiscard]] bool check(const treeparse::SubjectNode& node) const;
   };
 
-  /// Prechecks of the side-constrained rules rooted at `t`, in rule order
-  /// (parallel to constrained_rules_of).
+  /// Prechecks of the side-constrained rules rooted at `t`, in rule order.
   [[nodiscard]] const std::vector<ConstrainedPrecheck>& constrained_prechecks_of(
       grammar::TermId t) const;
 
@@ -324,14 +272,11 @@ class TargetTables {
   /// merge path interleaves these with matched constrained rules by
   /// (cost, rule id) before running chain closure — reproducing the
   /// interpreter's scan order exactly.
-  void raw_candidates(grammar::TermId term, const std::vector<int>& children,
+  void raw_candidates(grammar::TermId term,
+                      const std::int32_t* const* child_rows, std::size_t arity,
                       std::vector<int>& cost, std::vector<int>& rule) const;
 
-  /// Registered subpattern index of a Term-kind pattern position; -1 if the
-  /// position belongs to a constrained rule.
-  [[nodiscard]] int subpattern_index(const grammar::PatNode* p) const;
-
-  /// All registered subpatterns rooted at `t` (for the fallback re-intern).
+  /// All registered subpatterns rooted at `t` (for the fallback signature).
   [[nodiscard]] const std::vector<int>& subpatterns_of_terminal(
       grammar::TermId t) const;
 
@@ -358,178 +303,95 @@ class TargetTables {
   // --- persistence ---------------------------------------------------------
 
   /// Appends the tables to `out` (see serialize.h for the primitive
-  /// encoding). Frozen tables write their position-independent pool (after
-  /// folding any pending dynamic fills into a fresh snapshot); hash-mode
-  /// tables write the dynamic states + transitions sections. The pool is
-  /// 4-byte aligned relative to the start of `out`, so a caller that
-  /// prepends a header must keep it a multiple of 4 bytes for the mmap
-  /// zero-copy path to engage (misalignment only costs one copy).
+  /// encoding): a short header, then the position-independent pool. The
+  /// pool is 4-byte aligned relative to the start of `out`, so a caller
+  /// that prepends a header must keep it a multiple of 4 bytes for the
+  /// mmap zero-copy path to engage (misalignment only costs one copy).
   void serialize(std::string& out) const;
 
   /// Rebuilds tables for `g` from a blob produced by serialize(). Returns
   /// nullptr if the blob is malformed or was built for a different grammar.
-  /// A frozen blob lands directly in pure-array (mapped) mode with NO
-  /// re-interning, transition rehash or re-freeze; when `pin` is non-null
-  /// (a read-only mapping that must stay valid while the pin is held) and
-  /// the pool is 4-byte aligned, the snapshot borrows the blob's memory
-  /// zero-copy instead of copying the pool.
+  /// The pool is adopted as-is — no closure, no re-packing; when `pin` is
+  /// non-null (a read-only mapping that must stay valid while the pin is
+  /// held) and the pool is 4-byte aligned, the tables borrow the blob's
+  /// memory zero-copy instead of copying the pool.
   [[nodiscard]] static std::unique_ptr<TargetTables> deserialize(
       const grammar::TreeGrammar& g, std::string_view blob,
       std::size_t& offset, std::shared_ptr<const void> pin = nullptr);
 
  private:
-  struct TransKey {
-    grammar::TermId term;
-    std::vector<int> children;
-    friend bool operator==(const TransKey&, const TransKey&) = default;
+  /// How one pattern child matches a child state row: read a row word (the
+  /// cost of a non-terminal or of a subpattern), or test the #const meta.
+  struct ChildMatch {
+    enum class Kind : std::uint8_t { kWord, kImm, kConst };
+    Kind kind = Kind::kWord;
+    int arg = 0;  // kWord: row offset; kImm: largest fit index; kConst: class
   };
-  /// Allocation-free lookups: find() with a view over the caller's child
-  /// array instead of materialising a TransKey (C++20 transparent hashing).
-  struct TransKeyView {
-    grammar::TermId term;
-    const std::vector<int>* children;
-  };
-  struct TransKeyHash {
-    using is_transparent = void;
-    static std::size_t mix(grammar::TermId term,
-                           const std::vector<int>& children) {
-      std::size_t h = 1469598103934665603ull ^ static_cast<std::size_t>(term);
-      for (int c : children)
-        h = (h ^ static_cast<std::size_t>(c)) * 1099511628211ull;
-      return h;
-    }
-    std::size_t operator()(const TransKey& k) const {
-      return mix(k.term, k.children);
-    }
-    std::size_t operator()(const TransKeyView& k) const {
-      return mix(k.term, *k.children);
-    }
-  };
-  struct TransKeyEq {
-    using is_transparent = void;
-    bool operator()(const TransKey& a, const TransKey& b) const {
-      return a == b;
-    }
-    bool operator()(const TransKeyView& a, const TransKey& b) const {
-      return a.term == b.term && *a.children == b.children;
-    }
-    bool operator()(const TransKey& a, const TransKeyView& b) const {
-      return a.term == b.term && a.children == *b.children;
-    }
-  };
-  /// Interning key: a pointer to a full stride_-wide signature row, either
-  /// inside the arena (stored keys) or a caller's scratch row (probes).
-  struct RowKey {
-    const std::int32_t* row;
-  };
-  struct RowHash {
-    const TargetTables* t;
-    std::size_t operator()(const RowKey& k) const;
-  };
-  struct RowEq {
-    const TargetTables* t;
-    bool operator()(const RowKey& a, const RowKey& b) const;
-  };
-
-  /// One table rule prepared for state computation.
+  /// One table rule (or subpattern) prepared for state computation.
   struct RulePlan {
-    int id = -1;
+    int id = -1;  // rule id; subpattern index for subpattern plans
     grammar::NtId lhs = -1;
     int cost = 0;
     const grammar::PatNode* pattern = nullptr;
+    std::vector<ChildMatch> kids;
+  };
+  /// The table rules of one operator whose first child matches alike.
+  struct RuleGroup {
+    ChildMatch first;
+    std::vector<int> plans;  // indices into rules_by_terminal_[term]
   };
   struct ChainPlan {
     int id = -1;
     grammar::NtId lhs = -1;
     int cost = 0;
   };
+  struct Closure;
+
+  struct NoBuild {};
+  TargetTables(const grammar::TreeGrammar& g, NoBuild);
 
   void prepare(const grammar::TreeGrammar& g);
   [[nodiscard]] static bool pattern_is_constrained(
       const grammar::PatNode& pat);
   [[nodiscard]] static std::string pattern_key(const grammar::PatNode& p);
 
-  [[nodiscard]] StateView view_of_row(const std::int32_t* row) const;
-  [[nodiscard]] const std::int32_t* state_row_locked(int id) const;
-  void fill_row_from_state(const StateData& s, std::int32_t* row) const;
+  [[nodiscard]] int match_cost(const ChildMatch& m,
+                               const std::int32_t* s) const;
+  /// Pre-chain-closure (cost, rule) per non-terminal over the table rules
+  /// of `term` (costs relative to the children's base sum).
+  void match_rules(grammar::TermId term, const std::int32_t* const* kid_rows,
+                   std::size_t arity, std::int32_t* cost,
+                   std::int32_t* rule) const;
+  void close_chains(std::int32_t* cost, std::int32_t* rule) const;
+  void compute_const_state(int fit_index, int const_class,
+                           std::int32_t* row) const;
+  void run_closure();
+  void adopt(std::unique_ptr<FrozenTables> f);
 
-  /// Match cost of pattern child `p` against child state row `s`;
-  /// kInf = fail.
-  [[nodiscard]] int rel_match_locked(const grammar::PatNode& p,
-                                     const std::int32_t* s) const;
-  [[nodiscard]] int intern_row_locked(const std::int32_t* row) const;
-  [[nodiscard]] Transition compute_transition_locked(
-      grammar::TermId term, const std::vector<int>& children) const;
-  [[nodiscard]] int compute_const_state_locked(int fit_index,
-                                               int const_class) const;
-  void run_closure(const TableBuildOptions& options);
-  void freeze_locked() const;
-  void count_miss_and_maybe_refreeze(const FrozenTables* f) const;
-  /// Seeds state_index_ with the mapped base rows on first mutation (warm
-  /// loads defer the hashing until the fallback path actually needs it).
-  void ensure_state_index_locked() const;
-  /// Reconstructs the mapped pool's transitions and #const pairs into the
-  /// hash maps (inverse index maps + mixed-radix row decode) so a re-freeze
-  /// folds pool and dynamic entries together. Idempotent.
-  void absorb_pool_locked() const;
-  /// Publishes a deserialized pool snapshot as this table's base: states
-  /// < base_state_count_ are backed by the pool rather than the arena.
-  void adopt_pool_locked(std::unique_ptr<FrozenTables> f);
-
-  // --- immutable after construction ---------------------------------------
   int nt_count_ = 0;
   int stride_ = 0;  // ints per state row: 2 * nts + subpatterns + 3 meta
   grammar::TermId const_term_ = -1;
   std::uint64_t fingerprint_ = 0;
-  bool freeze_enabled_ = true;
-  std::size_t refreeze_misses_ = 64;
   std::vector<std::vector<RulePlan>> rules_by_terminal_;   // [term]
-  std::vector<std::vector<int>> constrained_by_terminal_;  // [term] rule ids
+  std::vector<std::vector<RuleGroup>> rule_groups_;        // [term]
+  std::vector<std::vector<RulePlan>> sub_plans_;           // [term]
   std::vector<std::vector<ConstrainedPrecheck>>
       constrained_precheck_;                               // [term]
-  std::vector<std::vector<RulePlan>> const_root_rules_;    // size 1: #const
+  std::vector<RulePlan> const_root_rules_;                 // #const leaves
   std::vector<std::vector<ChainPlan>> chains_from_;        // [nt]
-  std::vector<bool> constrained_rule_;                     // [rule id]
   std::vector<bool> terminal_constrained_;                 // [term]
+  std::size_t constrained_rules_ = 0;
+  std::size_t table_rules_ = 0;
   std::vector<const grammar::PatNode*> subpatterns_;
-  std::unordered_map<const grammar::PatNode*, int> sub_index_;
   std::vector<std::vector<int>> subs_by_terminal_;         // [term]
   std::vector<int> fit_widths_;           // sorted distinct Imm widths
   std::vector<std::int64_t> const_values_;  // sorted distinct Const values
-  std::unordered_map<std::int64_t, int> const_class_of_;
   std::vector<std::vector<int>> arities_by_terminal_;      // [term] sorted
   bool closure_complete_ = false;
 
-  // --- mutable, guarded by mu_ ---------------------------------------------
-  mutable std::shared_mutex mu_;
-  /// Flat state arena: fixed-capacity blocks of stride_-wide rows, so row
-  /// addresses are stable across growth (lock-free frozen readers hold raw
-  /// row pointers).
-  static constexpr int kStatesPerBlock = 256;
-  mutable std::vector<std::unique_ptr<std::int32_t[]>> state_blocks_;
-  mutable int state_count_ = 0;
-  /// Mapped (pool-backed) base: state ids < base_state_count_ resolve into
-  /// the adopted pool's contiguous row region instead of the arena. Zero
-  /// for tables that were never deserialized from a frozen blob.
-  mutable const std::int32_t* base_rows_ = nullptr;
-  mutable int base_state_count_ = 0;
-  mutable bool state_index_seeded_ = true;  // false after a mapped adopt
-  mutable bool pool_absorbed_ = true;       // false after a mapped adopt
-  mutable std::unordered_map<RowKey, int, RowHash, RowEq> state_index_;
-  mutable std::unordered_map<TransKey, Transition, TransKeyHash, TransKeyEq>
-      trans_;
-  mutable std::unordered_map<std::int64_t, int> const_state_by_pair_;
-  mutable std::vector<std::int32_t> scratch_row_;  // intern staging, under mu_
-
-  // Frozen snapshots: the atomic points at the live one; superseded
-  // snapshots are retained so concurrent readers never dangle.
-  static constexpr std::size_t kMaxFreezes = 256;  // snapshot-churn bound
-  mutable std::deque<std::unique_ptr<FrozenTables>> frozen_history_;
-  mutable std::atomic<const FrozenTables*> frozen_ptr_{nullptr};
-  mutable std::atomic<std::uint64_t> frozen_misses_{0};
-  mutable std::size_t frozen_source_transitions_ = 0;
-  mutable std::size_t frozen_source_const_ = 0;
-  mutable std::size_t freeze_count_ = 0;
+  std::unique_ptr<const FrozenTables> frozen_;
+  RowIndex row_index_;  // frozen row -> state id
+  mutable std::atomic<std::uint64_t> misses_{0};  // TableStats::frozen_misses
 };
 
 }  // namespace record::burstab

@@ -6,26 +6,6 @@
 
 namespace record::core {
 
-namespace {
-
-/// Refreshes a coverage map's denominators from the live tables (states and
-/// frozen transitions grow dynamically as the tables fill).
-void refresh_coverage_totals(obs::CoverageMap& cov,
-                             const grammar::TreeGrammar& g,
-                             const burstab::TargetTables* tables) {
-  std::uint64_t states = 0;
-  std::uint64_t transitions = 0;
-  if (tables) {
-    states = static_cast<std::uint64_t>(tables->stats().states);
-    if (const burstab::TargetTables::FrozenTables* f = tables->frozen())
-      transitions = static_cast<std::uint64_t>(f->transitions);
-  }
-  cov.set_totals(static_cast<std::uint64_t>(g.rules().size()), states,
-                 transitions);
-}
-
-}  // namespace
-
 std::optional<CompileResult> Compiler::compile(
     const ir::Program& prog, const CompileOptions& options,
     util::DiagnosticSink& diags, select::SelectScratch* scratch) const {
@@ -47,32 +27,27 @@ std::optional<CompileResult> Compiler::compile(
   // does: selection (label + flatten inside the selector), spill repair,
   // compaction, encoding.
   // Coverage attach: one relaxed enabled() load per compile. The map factory
-  // runs once per target (rule-name rendering is paid exactly once); the
-  // arrays carry headroom for dynamic table growth, with late out-of-range
-  // ids absorbed by the overflow counters.
+  // runs once per target (rule-name rendering is paid exactly once) and
+  // sizes the arrays and totals exactly from the target's tables, whichever
+  // engine this compile uses: the tables never change.
   obs::CoverageMap* cov = nullptr;
   if (obs::coverage().enabled()) {
     const grammar::TreeGrammar& g = target_->tree_grammar;
-    const burstab::TargetTables* cov_tables = tables;
+    const burstab::TargetTables* cov_tables = target_->tables.get();
     cov = &obs::coverage().map_for(target_->processor, [&g, cov_tables]() {
       obs::CoverageMap::Config cfg;
       cfg.rules = g.rules().size();
-      std::size_t states = 0;
-      std::size_t slots = 0;
       if (cov_tables) {
-        states = cov_tables->stats().states;
-        if (const burstab::TargetTables::FrozenTables* f =
-                cov_tables->frozen())
-          slots = f->slot_count;
+        const burstab::TargetTables::FrozenTables& f = *cov_tables->frozen();
+        cfg.states = cov_tables->stats().states;
+        cfg.transitions = f.slot_count;
+        cfg.transitions_total = f.transitions;
       }
-      cfg.states = states * 4 + 1024;
-      cfg.transitions = slots * 4 + 4096;
       cfg.rule_names.reserve(cfg.rules);
       for (const grammar::Rule& r : g.rules())
         cfg.rule_names.push_back(grammar::rule_to_string(g, r));
       return cfg;
     });
-    refresh_coverage_totals(*cov, g, tables);
   }
 
   std::optional<obs::Span> stage;
@@ -129,9 +104,6 @@ std::optional<CompileResult> Compiler::compile(
                         cs.input_rts > emitted ? cs.input_rts - emitted : 0);
     cov->record_variant(obs::CoverageVariant::kCompactModeSet,
                         cs.mode_sets_inserted);
-    // Labelling may have grown the tables (or triggered a re-freeze);
-    // refresh the denominators so the snapshot ratios stay honest.
-    refresh_coverage_totals(*cov, target_->tree_grammar, tables);
   }
   if (!diags.ok()) {
     obs::metrics().counter("compile.failed").add(1);

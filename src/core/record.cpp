@@ -50,13 +50,12 @@ std::string options_digest(const RetargetOptions& o) {
       "pipeline:v{};extract:depth={},routes={},prune={},procout={};"
       "grammar:elide_ext={},elide_low={},self_moves={};"
       "extend:commut={},std_rewrites={};"
-      "tables:{},precompute={},states={},trans={},freeze={}",
+      "tables:{}",
       kPipelineVersion, o.extract.limits.max_depth,
       o.extract.limits.max_routes_per_point, o.extract.prune_unsat,
       o.extract.include_proc_out, o.grammar.elide_extension_ops,
       o.grammar.elide_low_slices, o.grammar.skip_self_moves, o.commutativity,
-      o.standard_rewrites, o.build_tables, o.tables.precompute,
-      o.tables.max_states, o.tables.max_transitions, o.tables.freeze);
+      o.standard_rewrites, o.build_tables);
 }
 
 namespace {
@@ -140,7 +139,7 @@ std::optional<RetargetResult> Record::retarget(
         } else {
           util::Timer tables_timer;
           result.tables = std::make_shared<burstab::TargetTables>(
-              result.tree_grammar, options.tables);
+              result.tree_grammar);
           result.times.record("tables", tables_timer.seconds());
           obs::metrics().counter("burstab.fallback.tables_rebuilt").add(1);
         }
@@ -213,7 +212,7 @@ std::optional<RetargetResult> Record::retarget(
     timer.reset();
     phase.emplace("retarget.tables");
     result.tables = std::make_shared<burstab::TargetTables>(
-        result.tree_grammar, options.tables);
+        result.tree_grammar);
     result.times.record("tables", timer.seconds());
   }
   phase.reset();

@@ -49,7 +49,6 @@ struct RetargetOptions {
   /// Compile the tree grammar into BURS state tables (the table-driven
   /// selection engine; RetargetResult::tables).
   bool build_tables = true;
-  burstab::TableBuildOptions tables;
   /// Serve/store this retarget through the persistent TargetCache, keyed by
   /// a content hash of the HDL source and these options. Requests with
   /// `extra_rewrites` bypass the cache (a rewrite library has no stable
@@ -70,9 +69,10 @@ struct RetargetOptions {
 /// Thread safety: a RetargetResult is immutable once retarget() returns, and
 /// a `const RetargetResult` may be shared across concurrent Compiler::compile
 /// jobs — the owned BddManager is internally synchronised (bdd/bdd.h) and
-/// TargetTables memoises new states/transitions under its own lock
-/// (burstab/tables.h). service::TargetRegistry hands results out as
-/// shared_ptr<const RetargetResult> on exactly this contract.
+/// TargetTables never changes after construction (label-time misses are
+/// computed into per-job overlays; burstab/tables.h). service::TargetRegistry
+/// hands results out as shared_ptr<const RetargetResult> on exactly this
+/// contract.
 struct RetargetResult {
   std::string processor;
   std::shared_ptr<const rtl::TemplateBase> base;

@@ -119,7 +119,7 @@ CoverageMap::CoverageMap(std::string target, Config config)
     states_.reset(new std::atomic<std::uint64_t>[states_cap_]());
   if (transitions_cap_)
     transitions_.reset(new std::atomic<std::uint64_t>[transitions_cap_]());
-  set_totals(config.rules, 0, 0);
+  set_totals(config.rules, config.states, config.transitions_total);
 }
 
 CoverageDistinct CoverageMap::distinct() const {

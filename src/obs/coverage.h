@@ -5,8 +5,8 @@
 //   * grammar rules MATCHED during labelling (any rule that wins some
 //     non-terminal at some node, whether or not the derivation uses it),
 //   * grammar rules CHOSEN in optimal derivations (what selection trusts),
-//   * interned BURS states assigned to subject nodes, and
-//   * frozen-table transition slots probed on the warm path,
+//   * BURS table states assigned to subject nodes, and
+//   * table transition slots hit by lookups,
 // plus variant counters for the rarely-taken compile-stage paths (spill
 // parks, caller saves, guard wraps, compaction merges, mode-set insertion,
 // promoted-precision retries) and overflow/cold counters so nothing is
@@ -64,13 +64,12 @@ struct CoverageCounts {
   std::array<std::uint64_t, kCoverageVariantCount> variants{};
   std::uint64_t state_overflow = 0;       // state id beyond map capacity
   std::uint64_t transition_overflow = 0;  // slot beyond map capacity
-  std::uint64_t cold_transitions = 0;     // hash/merged-path lookups (no slot)
+  std::uint64_t cold_transitions = 0;     // computed/merged labels (no slot)
 };
 
 /// One target's coverage, frozen as plain values. `*_total` are the
-/// denominators known at snapshot time (rule count is exact; state and
-/// frozen-transition counts grow as tables fill dynamically and are
-/// refreshed on every compile).
+/// denominators: the grammar's rules and the tables' states and
+/// transitions.
 struct CoverageSnapshot {
   std::string target;
   std::uint64_t rules_total = 0;
@@ -111,15 +110,15 @@ struct CoverageDistinct {
                          const CoverageDistinct&) = default;
 };
 
-/// Per-target hit arrays. Fixed capacity chosen at creation (rule capacity
-/// is exact; state/transition capacities carry headroom for dynamic table
-/// growth — out-of-range ids land in the overflow counters, never UB).
+/// Per-target hit arrays. Fixed capacity chosen at creation (out-of-range
+/// ids land in the overflow counters, never UB).
 class CoverageMap {
  public:
   struct Config {
-    std::size_t rules = 0;
-    std::size_t states = 0;
-    std::size_t transitions = 0;
+    std::size_t rules = 0;        // capacity and total
+    std::size_t states = 0;       // capacity and total
+    std::size_t transitions = 0;  // slot capacity (holes included)
+    std::size_t transitions_total = 0;  // transitions behind those slots
     std::vector<std::string> rule_names;  // [rule id]; optional
   };
 
@@ -153,7 +152,7 @@ class CoverageMap {
     if (n) variants_[static_cast<std::size_t>(v)].fetch_add(
         n, std::memory_order_relaxed);
   }
-  /// Refreshes the denominators (relaxed stores; called once per compile).
+  /// Overrides the denominators the Config set (relaxed stores).
   void set_totals(std::uint64_t rules, std::uint64_t states,
                   std::uint64_t transitions) {
     rules_total_.store(rules, std::memory_order_relaxed);

@@ -21,8 +21,9 @@
 // Concurrency contract: each job runs with its own DiagnosticSink and its
 // own Compiler/CodeSelector; all cross-job shared state (RetargetResult,
 // BddManager, TargetTables) is immutable or internally synchronised — see
-// core/record.h. Results are futures, so callers may pipeline submissions
-// against collection.
+// core/record.h. TargetTables never change after construction: each job
+// computes its table misses into its own overlay. Results are futures, so
+// callers may pipeline submissions against collection.
 #pragma once
 
 #include <chrono>

@@ -13,6 +13,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "burstab/cache.h"
@@ -285,8 +286,49 @@ TEST(BurstabDifferential, PlainFixtureRandomTrees) {
   EXPECT_GT(parsed, 20) << "corpus too weak to exercise the tables";
 }
 
+/// Subjects whose labelling leaves the frozen tables and runs on the
+/// per-parse overlay: `shl(x, x)` binds the constrained x+x rule, whose
+/// signature no table state carries, so the `plus` above it misses; `addi`
+/// over unequal constants and `orphan` (no rule at all) are operators with
+/// no table rule, under table operators.
+std::vector<SubjectTree> overlay_trees(const ConstrainedFixture& f,
+                                       TermId orphan) {
+  std::vector<SubjectTree> trees;
+  auto assign = [&](auto&& build) {
+    SubjectTree t;
+    SubjectNode* value = build(t);
+    t.set_root(t.make(f.g.assign_terminal(), {t.make(f.t_dest_a), value}));
+    trees.push_back(std::move(t));
+  };
+  auto shl_xx = [&f](SubjectTree& t) {
+    return t.make(f.t_shl, {t.make(f.t_reg_a), t.make(f.t_reg_a)});
+  };
+  assign([&](SubjectTree& t) {
+    return t.make(f.t_plus, {shl_xx(t), t.make(f.t_reg_b)});
+  });
+  assign([&](SubjectTree& t) {
+    SubjectNode* inner = t.make(f.t_plus, {shl_xx(t), t.make(f.t_reg_b)});
+    return t.make(f.t_plus, {inner, t.make(f.t_load, {shl_xx(t)})});
+  });
+  assign([&](SubjectTree& t) {
+    SubjectNode* addi =
+        t.make(f.t_addi, {t.make_const(f.g.const_terminal(), 5),
+                          t.make_const(f.g.const_terminal(), 6)});
+    return t.make(f.t_plus, {t.make(f.t_reg_a), addi});
+  });
+  assign([&](SubjectTree& t) {
+    return t.make(f.t_plus, {t.make(orphan), t.make(f.t_reg_b)});
+  });
+  assign([&](SubjectTree& t) {
+    return t.make(f.t_load, {t.make(f.t_plus, {t.make(f.t_reg_a),
+                                                t.make(orphan)})});
+  });
+  return trees;
+}
+
 TEST(BurstabDifferential, ConstrainedFixtureRandomTrees) {
   ConstrainedFixture f;
+  const TermId orphan = f.g.intern_terminal("orphan");
   TargetTables tables(f.g);
   EXPECT_TRUE(tables.terminal_has_constrained(f.t_shl));
   EXPECT_TRUE(tables.terminal_has_constrained(f.t_addi));
@@ -298,6 +340,14 @@ TEST(BurstabDifferential, ConstrainedFixtureRandomTrees) {
     if (expect_engines_agree(f.g, tables, t, "constrained/assign")) ++parsed;
   }
   EXPECT_GT(parsed, 20);
+
+  // Every overlay case computes at least one row the tables do not hold,
+  // and still labels exactly like the interpreter.
+  for (const SubjectTree& t : overlay_trees(f, orphan)) {
+    const std::size_t before = tables.stats().frozen_misses;
+    expect_engines_agree(f.g, tables, t, "constrained/overlay");
+    EXPECT_GT(tables.stats().frozen_misses, before) << t.to_string(f.g);
+  }
 }
 
 TEST(BurstabDifferential, SharedImmediateFieldSemantics) {
@@ -333,26 +383,6 @@ TEST(BurstabDifferential, StructuralEqualityBinding) {
   LabelResult lr = interp.label(t);
   ASSERT_TRUE(lr.ok);
   EXPECT_EQ(lr.root_cost, 1);  // x+x rule, not the cost-2 sibling
-}
-
-TEST(BurstabDifferential, DynamicOnlyTablesMatchPrecomputed) {
-  PlainFixture f;
-  TableBuildOptions lazy;
-  lazy.precompute = false;
-  TargetTables eager(f.g);
-  TargetTables dynamic(f.g, lazy);
-  RandomTreeGen gen(f.g, 7);
-  for (int i = 0; i < 100; ++i) {
-    SubjectTree t = gen.make_assign(1 + i % 4);
-    TableParser pe(f.g, eager);
-    TableParser pd(f.g, dynamic);
-    LabelResult a = pe.label(t);
-    LabelResult b = pd.label(t);
-    EXPECT_EQ(a.ok, b.ok);
-    EXPECT_EQ(a.root_cost, b.root_cost);
-  }
-  EXPECT_GT(eager.stats().states, 0u);
-  EXPECT_GT(dynamic.stats().states, 0u);
 }
 
 // --- built-in models --------------------------------------------------------
@@ -428,52 +458,75 @@ TEST_P(BurstabModel, SelectionListingsIdentical) {
   b.let("acc", std::move(sum));
   ir::Program prog = b.take();
 
-  // Three engines side by side: the interpreter, the frozen (compressed,
-  // lock-free) tables the retarget ships by default, and a hash-mode build
-  // of the same tables (freeze disabled) — all listings bit-identical.
-  ASSERT_GE(target->tables->stats().freezes, 1u);
-  TableBuildOptions hash_mode;
-  hash_mode.freeze = false;
-  TargetTables hash_tables(target->tree_grammar, hash_mode);
-  EXPECT_EQ(hash_tables.stats().freezes, 0u);
-
-  util::DiagnosticSink d1, d2, d3;
+  // The interpreter and the tables the retarget ships side by side: the
+  // listings are bit-identical.
+  util::DiagnosticSink d1, d2;
   select::CodeSelector interp(*target->base, target->tree_grammar, d1);
   select::CodeSelector tabular(*target->base, target->tree_grammar, d2,
                                target->tables.get());
-  select::CodeSelector hashed(*target->base, target->tree_grammar, d3,
-                              &hash_tables);
   EXPECT_EQ(interp.engine(), select::Engine::kInterpreter);
   EXPECT_EQ(tabular.engine(), select::Engine::kTables);
   auto ra = interp.select(prog);
   auto rb = tabular.select(prog);
-  auto rc = hashed.select(prog);
   ASSERT_TRUE(ra) << d1.str();
   ASSERT_TRUE(rb) << d2.str();
-  ASSERT_TRUE(rc) << d3.str();
   EXPECT_EQ(ra->total_rts, rb->total_rts);
   EXPECT_EQ(ra->listing(), rb->listing());
-  EXPECT_EQ(ra->listing(), rc->listing());
 }
 
-TEST_P(BurstabModel, FrozenAndHashModesAgreeOnRandomTrees) {
+// --- immutability -------------------------------------------------------------
+
+/// Labels random trees (plus `extra`) from four threads at once against the
+/// interpreter, then checks the tables did not change: the serialized
+/// tables are byte-identical and every table stat is unchanged. Only the
+/// miss counter moves — the overlay path ran concurrently.
+void expect_labelling_leaves_tables_unchanged(
+    const TreeGrammar& g, const TargetTables& tables,
+    const std::vector<SubjectTree>& extra, const char* what) {
+  std::string before;
+  tables.serialize(before);
+  const TableStats s0 = tables.stats();
+  std::vector<std::thread> threads;
+  for (std::uint32_t k = 0; k < 4; ++k)
+    threads.emplace_back([&, k] {
+      RandomTreeGen gen(g, 31337 + k);
+      for (int i = 0; i < 60; ++i)
+        expect_engines_agree(g, tables, gen.make_assign(1 + i % 5), what);
+      for (const SubjectTree& t : extra) expect_engines_agree(g, tables, t, what);
+    });
+  for (std::thread& th : threads) th.join();
+
+  std::string after;
+  tables.serialize(after);
+  EXPECT_TRUE(after == before) << what << ": serialized tables changed";
+  const TableStats s1 = tables.stats();
+  EXPECT_EQ(s1.states, s0.states) << what;
+  EXPECT_EQ(s1.transitions, s0.transitions) << what;
+  EXPECT_EQ(s1.subpatterns, s0.subpatterns) << what;
+  EXPECT_EQ(s1.table_rules, s0.table_rules) << what;
+  EXPECT_EQ(s1.constrained_rules, s0.constrained_rules) << what;
+  EXPECT_EQ(s1.const_classes, s0.const_classes) << what;
+  EXPECT_EQ(s1.closure_complete, s0.closure_complete) << what;
+  EXPECT_GT(s1.frozen_misses, s0.frozen_misses) << what;
+}
+
+TEST(BurstabImmutable, ConcurrentLabellingLeavesConstrainedFixtureUnchanged) {
+  ConstrainedFixture f;
+  const TermId orphan = f.g.intern_terminal("orphan");
+  TargetTables tables(f.g);
+  expect_labelling_leaves_tables_unchanged(
+      f.g, tables, overlay_trees(f, orphan), "constrained fixture");
+}
+
+TEST(BurstabImmutable, ConcurrentLabellingLeavesRefUnchanged) {
   util::DiagnosticSink diags;
   auto target =
-      core::Record::retarget_model(GetParam(), core::RetargetOptions{}, diags);
+      core::Record::retarget_model("ref", core::RetargetOptions{}, diags);
   ASSERT_TRUE(target) << diags.str();
   ASSERT_NE(target->tables, nullptr);
-  ASSERT_GE(target->tables->stats().freezes, 1u);
-  TableBuildOptions hash_mode;
-  hash_mode.freeze = false;
-  TargetTables hash_tables(target->tree_grammar, hash_mode);
-
-  RandomTreeGen gen(target->tree_grammar, 20260726);
-  for (int i = 0; i < 60; ++i) {
-    SubjectTree t = gen.make_assign(1 + i % 4);
-    // Both table modes against the interpreter on the same tree.
-    expect_engines_agree(target->tree_grammar, *target->tables, t, "frozen");
-    expect_engines_agree(target->tree_grammar, hash_tables, t, "hash");
-  }
+  EXPECT_GT(target->tables->stats().constrained_rules, 0u);
+  expect_labelling_leaves_tables_unchanged(target->tree_grammar,
+                                           *target->tables, {}, "ref");
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, BurstabModel,
@@ -525,7 +578,8 @@ TEST(BurstabSerialize, TemplateBaseRoundTrip) {
 TEST(BurstabSerialize, TablesRoundTrip) {
   PlainFixture f;
   TargetTables tables(f.g);
-  // Warm the tables on a corpus, then serialise.
+  // Label a corpus first (labelling never changes the tables), then
+  // serialise.
   RandomTreeGen gen(f.g, 5);
   for (int i = 0; i < 50; ++i) {
     SubjectTree t = gen.make_assign(3);
@@ -540,11 +594,8 @@ TEST(BurstabSerialize, TablesRoundTrip) {
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(offset, blob.size());
   EXPECT_EQ(loaded->stats().states, tables.stats().states);
-  // The blob carries a position-independent pool that is adopted as the live
-  // snapshot: every transition the writer held lands on the frozen side and
-  // the dynamic maps stay empty until a genuine cold miss.
-  EXPECT_EQ(loaded->stats().frozen_transitions, tables.stats().transitions);
-  EXPECT_EQ(loaded->stats().transitions, 0u);
+  EXPECT_EQ(loaded->stats().transitions, tables.stats().transitions);
+  EXPECT_EQ(loaded->stats().const_classes, tables.stats().const_classes);
   // Loaded tables parse identically.
   RandomTreeGen gen2(f.g, 5);
   for (int i = 0; i < 50; ++i) {
@@ -556,111 +607,28 @@ TEST(BurstabSerialize, TablesRoundTrip) {
   }
 }
 
-TEST(FrozenLookup, TransitionEntryPointServesFrozenAndColdPaths) {
-  // The public transition() wrapper (frozen probe, then the memoised cold
-  // path) must answer identically in frozen, hash and dynamic modes.
-  PlainFixture f;
-  TargetTables frozen(f.g);  // eager closure + freeze
-  TableBuildOptions dyn;
-  dyn.precompute = false;
-  dyn.freeze = false;
-  TargetTables dynamic(f.g, dyn);
-  ASSERT_GE(frozen.stats().freezes, 1u);
-  ASSERT_EQ(dynamic.stats().freezes, 0u);
-
-  const std::vector<int> no_children;
-  TargetTables::Transition fa = frozen.transition(f.t_reg_a, no_children);
-  TargetTables::Transition da = dynamic.transition(f.t_reg_a, no_children);
-  EXPECT_EQ(frozen.state(fa.state), dynamic.state(da.state));
-  EXPECT_EQ(fa.delta, da.delta);
-
-  int fc = frozen.const_leaf_state(3);
-  int dc = dynamic.const_leaf_state(3);
-  std::vector<int> fkids{fa.state, fc};
-  std::vector<int> dkids{da.state, dc};
-  TargetTables::Transition fp = frozen.transition(f.t_plus, fkids);
-  TargetTables::Transition dp = dynamic.transition(f.t_plus, dkids);
-  EXPECT_EQ(frozen.state(fp.state), dynamic.state(dp.state));
-  EXPECT_EQ(fp.delta, dp.delta);
-  // Repeat lookups are stable (frozen hit / memoised hit).
-  TargetTables::Transition fp2 = frozen.transition(f.t_plus, fkids);
-  EXPECT_EQ(fp.state, fp2.state);
-  EXPECT_EQ(fp.delta, fp2.delta);
-}
-
-TEST(FrozenColdMiss, DynamicFillsDuringFrozenModeStayIdentical) {
-  // Freeze with an empty/tiny closure: almost every parse-time combination
-  // is a cold miss, must fall back to the memoised path, stay bit-identical
-  // to the interpreter, and (past the miss budget) fold into a re-frozen
-  // snapshot that subsequent lookups hit.
-  PlainFixture f;
-  TableBuildOptions tiny;
-  tiny.precompute = false;  // snapshot 0 is empty: everything misses
-  tiny.freeze = true;
-  tiny.refreeze_misses = 8;
-  TargetTables tables(f.g, tiny);
-  ASSERT_GE(tables.stats().freezes, 1u);
-  EXPECT_EQ(tables.stats().frozen_transitions, 0u);
-
-  RandomTreeGen gen(f.g, 77);
-  int parsed = 0;
-  for (int i = 0; i < 200; ++i) {
-    SubjectTree t = gen.make_assign(1 + i % 5);
-    if (expect_engines_agree(f.g, tables, t, "cold-miss")) ++parsed;
-  }
-  EXPECT_GT(parsed, 20);
-  TableStats st = tables.stats();
-  EXPECT_GT(st.freezes, 1u) << "miss budget never triggered a re-freeze";
-  EXPECT_GT(st.frozen_transitions, 0u);
-  // The re-frozen snapshot serves the same corpus without growing further:
-  // replay the identical trees and expect no new states or transitions.
-  std::size_t states_before = st.states, trans_before = st.transitions;
-  RandomTreeGen replay(f.g, 77);
-  for (int i = 0; i < 200; ++i) {
-    SubjectTree t = replay.make_assign(1 + i % 5);
-    expect_engines_agree(f.g, tables, t, "cold-miss-replay");
-  }
-  EXPECT_EQ(tables.stats().states, states_before);
-  EXPECT_EQ(tables.stats().transitions, trans_before);
-}
-
 TEST(BurstabSerialize, FrozenBlobLandsDirectlyInFrozenMode) {
   PlainFixture f;
-  TargetTables tables(f.g);  // eager closure + freeze (defaults)
-  RandomTreeGen gen(f.g, 5);
-  for (int i = 0; i < 50; ++i) {
-    SubjectTree t = gen.make_assign(3);
-    TableParser p(f.g, tables);
-    (void)p.label(t);
-  }
-  ASSERT_GE(tables.stats().freezes, 1u);
+  TargetTables tables(f.g);
   std::string blob;
   tables.serialize(blob);
   std::size_t offset = 0;
+  const std::uint64_t freeze_before =
+      obs::metrics().counter("burstab.freeze").value();
   std::unique_ptr<TargetTables> loaded =
       TargetTables::deserialize(f.g, blob, offset);
   ASSERT_NE(loaded, nullptr);
-  // The deserialized tables adopt the mmap-ready pool as the live snapshot:
-  // already frozen (pure-array mode), no compaction ran (freezes counts
-  // snapshots *built*, and adoption builds nothing), and the dynamic maps
-  // stay empty — nothing was deserialized into hash tables.
-  TableStats st = loaded->stats();
-  EXPECT_EQ(st.freezes, 0u);
-  EXPECT_EQ(st.frozen_states, st.states);
-  EXPECT_EQ(st.frozen_transitions, tables.stats().transitions);
-  EXPECT_EQ(st.transitions, 0u);
-
-  // A hash-mode blob stays hash-mode after a round trip.
-  TableBuildOptions hash_mode;
-  hash_mode.freeze = false;
-  TargetTables unfrozen(f.g, hash_mode);
-  std::string blob2;
-  unfrozen.serialize(blob2);
-  std::size_t offset2 = 0;
-  std::unique_ptr<TargetTables> loaded2 =
-      TargetTables::deserialize(f.g, blob2, offset2);
-  ASSERT_NE(loaded2, nullptr);
-  EXPECT_EQ(loaded2->stats().freezes, 0u);
+  // The deserialized tables adopt the pool as-is: nothing is packed again,
+  // the stats match the writer's, and writing them back reproduces the blob
+  // byte for byte.
+  EXPECT_EQ(obs::metrics().counter("burstab.freeze").value(), freeze_before);
+  const TableStats a = tables.stats(), b = loaded->stats();
+  EXPECT_EQ(b.states, a.states);
+  EXPECT_EQ(b.transitions, a.transitions);
+  EXPECT_EQ(b.closure_complete, a.closure_complete);
+  std::string again;
+  loaded->serialize(again);
+  EXPECT_EQ(again, blob);
 }
 
 TEST(BurstabSerialize, TablesRejectForeignGrammar) {
@@ -698,12 +666,11 @@ TEST(BurstabCache, WarmLoadServesIdenticalTarget) {
   EXPECT_EQ(obs::metrics().counter("burstab.tables.map_zero_copy").value(),
             zero_copy_before + 1);
   EXPECT_EQ(obs::metrics().counter("burstab.freeze").value(), freeze_before);
-  // A warm reload lands directly in pure-array (frozen) mode with zero
-  // rebuild work: the mmap'ed pool is adopted as-is (freezes == 0 means no
-  // re-freeze ran) and the dynamic maps stay empty.
-  EXPECT_EQ(warm->tables->stats().freezes, 0u);
-  EXPECT_GT(warm->tables->stats().frozen_transitions, 0u);
-  EXPECT_EQ(warm->tables->stats().transitions, 0u);
+  // The warm tables are the cold ones, with zero rebuild work.
+  EXPECT_GT(warm->tables->stats().transitions, 0u);
+  EXPECT_EQ(warm->tables->stats().transitions,
+            cold->tables->stats().transitions);
+  EXPECT_EQ(warm->tables->stats().states, cold->tables->stats().states);
   EXPECT_EQ(warm->processor, cold->processor);
   EXPECT_EQ(warm->base->templates.size(), cold->base->templates.size());
   EXPECT_EQ(grammar_fingerprint(warm->tree_grammar),
@@ -1014,9 +981,10 @@ TEST(BurstabCache, CorruptedPoolBlobCompilesBitIdenticallyViaFallback) {
 }
 
 TEST(BurstabCache, OldVersionBlobRebuildsCleanly) {
-  // A v2-era entry (pre-frozen-tables format) must read as a miss — the
-  // version word gates the whole payload — and the pipeline must rebuild
-  // and re-store a current-version entry.
+  // A v2-era entry (pre-frozen-tables format) and a v6 entry (tables with
+  // the hash-mode section) must read as a miss — the version word gates the
+  // whole payload — and the pipeline must rebuild and re-store a
+  // current-version entry.
   std::string dir =
       (std::filesystem::temp_directory_path() / "record-cache-oldver")
           .string();
@@ -1038,28 +1006,32 @@ TEST(BurstabCache, OldVersionBlobRebuildsCleanly) {
   std::string blob = std::move(buf).str();
   in.close();
 
-  // Patch the version word (bytes 4..8, little endian) down to 2. The
-  // checksum that follows only covers the payload, so the blob is
-  // otherwise pristine — exactly what a stale on-disk entry looks like.
+  // Patch the version word (bytes 4..8, little endian) down. The checksum
+  // that follows only covers the payload, so the blob is otherwise
+  // pristine — exactly what a stale on-disk entry looks like.
   ASSERT_GE(blob.size(), 8u);
-  blob[4] = 2;
-  blob[5] = blob[6] = blob[7] = 0;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  for (char version : {2, 6}) {
+    std::string stale = blob;
+    stale[4] = version;
+    stale[5] = stale[6] = stale[7] = 0;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(stale.data(), static_cast<std::streamsize>(stale.size()));
+    }
+    EXPECT_FALSE(TargetCache(dir).load(key))
+        << "v" << int{version} << " served as hit";
+
+    util::DiagnosticSink d;
+    auto rebuilt = core::Record::retarget_model("manocpu", options, d);
+    ASSERT_TRUE(rebuilt) << d.str();
+    EXPECT_FALSE(rebuilt->cache_hit);
+    EXPECT_EQ(rebuilt->base->templates.size(), cold->base->templates.size());
+
+    // The rebuild re-stored a current entry: next retarget is warm again.
+    auto warm = core::Record::retarget_model("manocpu", options, d);
+    ASSERT_TRUE(warm);
+    EXPECT_TRUE(warm->cache_hit);
   }
-  EXPECT_FALSE(TargetCache(dir).load(key)) << "old version served as hit";
-
-  util::DiagnosticSink d;
-  auto rebuilt = core::Record::retarget_model("manocpu", options, d);
-  ASSERT_TRUE(rebuilt) << d.str();
-  EXPECT_FALSE(rebuilt->cache_hit);
-  EXPECT_EQ(rebuilt->base->templates.size(), cold->base->templates.size());
-
-  // The rebuild re-stored a current entry: next retarget is warm again.
-  auto warm = core::Record::retarget_model("manocpu", options, d);
-  ASSERT_TRUE(warm);
-  EXPECT_TRUE(warm->cache_hit);
 
   std::filesystem::remove_all(dir);
 }

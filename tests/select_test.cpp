@@ -223,8 +223,8 @@ TEST(Selector, MissingBindingFailsCleanly) {
 // --- coverage-map agreement across labelling engines -------------------------
 
 // Grammar-rule coverage is an engine-independent fact: whichever engine
-// labels the subject trees (interpreter, dynamic hash tables, frozen
-// compressed tables), the set of rules matched per node and the rules chosen
+// labels the subject trees (interpreter or tables), the set of rules
+// matched per node and the rules chosen
 // in the optimal derivation must be identical. This pins the coverage
 // instrumentation itself — a divergence here means one engine's record path
 // (not its selection) went wrong.
@@ -236,17 +236,12 @@ TEST(Selector, CoverageMapsAgreeAcrossEnginesOnAllModels) {
     ASSERT_TRUE(target) << s.model << ": " << diags.str();
     ASSERT_TRUE(target->tables) << s.model << ": no frozen tables";
 
-    burstab::TableBuildOptions hash_mode;
-    hash_mode.freeze = false;
-    burstab::TargetTables hash_tables(target->tree_grammar, hash_mode);
-
     struct EngineRun {
       const char* name;
       const burstab::TargetTables* tables;
     };
     const EngineRun engines[] = {
         {"interpreter", nullptr},
-        {"tables-hash", &hash_tables},
         {"tables-frozen", target->tables.get()},
     };
 
@@ -255,8 +250,8 @@ TEST(Selector, CoverageMapsAgreeAcrossEnginesOnAllModels) {
     for (const EngineRun& e : engines) {
       obs::CoverageMap::Config cc;
       cc.rules = target->tree_grammar.rules().size();
-      cc.states = 4096;
-      cc.transitions = 1 << 16;
+      cc.states = target->tables->stats().states;
+      cc.transitions = target->tables->frozen()->slot_count;
       obs::CoverageMap map(e.name, std::move(cc));
       util::DiagnosticSink d;
       CodeSelector sel(*target->base, target->tree_grammar, d, e.tables);
@@ -267,30 +262,22 @@ TEST(Selector, CoverageMapsAgreeAcrossEnginesOnAllModels) {
     }
 
     const obs::CoverageSnapshot& interp = snaps[0];
-    const obs::CoverageSnapshot& hash = snaps[1];
-    const obs::CoverageSnapshot& frozen = snaps[2];
-    // Rule coverage agrees hit-for-hit across all three engines.
-    EXPECT_EQ(interp.counts.rules_matched, hash.counts.rules_matched)
-        << s.model << ": interpreter vs hash matched-rule counts";
-    EXPECT_EQ(hash.counts.rules_matched, frozen.counts.rules_matched)
-        << s.model << ": hash vs frozen matched-rule counts";
-    EXPECT_EQ(interp.counts.rules_chosen, hash.counts.rules_chosen)
-        << s.model << ": interpreter vs hash chosen-rule counts";
-    EXPECT_EQ(hash.counts.rules_chosen, frozen.counts.rules_chosen)
-        << s.model << ": hash vs frozen chosen-rule counts";
+    const obs::CoverageSnapshot& frozen = snaps[1];
+    // Rule coverage agrees hit-for-hit across both engines.
+    EXPECT_EQ(interp.counts.rules_matched, frozen.counts.rules_matched)
+        << s.model << ": interpreter vs tables matched-rule counts";
+    EXPECT_EQ(interp.counts.rules_chosen, frozen.counts.rules_chosen)
+        << s.model << ": interpreter vs tables chosen-rule counts";
     EXPECT_GT(frozen.rules_chosen_covered(), 0u) << s.model;
 
     // Engine-specific dimensions land where they should: the interpreter
-    // has no interned states or table lookups at all; the hash engine's
-    // lookups are all cold (no frozen snapshot attached); only the frozen
-    // engine hits transition slots.
+    // has no table states or table lookups at all; the tables hit states
+    // and transition slots inside the exactly sized map.
     EXPECT_EQ(interp.states_covered(), 0u) << s.model;
     EXPECT_EQ(interp.counts.cold_transitions, 0u) << s.model;
-    EXPECT_GT(hash.states_covered(), 0u) << s.model;
-    EXPECT_GT(hash.counts.cold_transitions, 0u) << s.model;
-    EXPECT_EQ(hash.transitions_covered(), 0u) << s.model;
     EXPECT_GT(frozen.states_covered(), 0u) << s.model;
     EXPECT_GT(frozen.transitions_covered(), 0u) << s.model;
+    EXPECT_EQ(frozen.counts.state_overflow, 0u) << s.model;
     EXPECT_EQ(frozen.counts.transition_overflow, 0u) << s.model;
   }
 }

@@ -5,8 +5,9 @@
 // (committed at the repo root each PR, uploaded as a CI artifact), so the
 // performance of the warm selection path is tracked across commits:
 //
-//   selection: model x engine (interpreter | tables-hash | tables-frozen)
-//              -> ns/node over the shared accumulator-chain workload
+//   selection: model x engine (interpreter | tables-frozen |
+//              tables-frozen-obs) -> ns/node over the shared
+//              accumulator-chain workload
 //   service:   jobs/sec of the warm-registry mixed-model batch at 1 and N
 //              workers, in-process (compile_batch) and over a pipelined
 //              JSON-lines TCP socket session (transport field tells the
@@ -15,12 +16,15 @@
 // --baseline <path> compares against a previously committed report and
 // exits non-zero on a >25% regression — the CI perf gate. Because the
 // committed baseline was measured on different hardware, the gated
-// statistic is machine-normalised: the tables-frozen / interpreter ns/node
-// ratio per model (both engines measured in the same run, so CPU speed and
-// runner noise divide out). Absolute ns/node and jobs/sec are recorded for
-// the trajectory but not gated.
+// statistic is machine-normalised: per model, the median over reps of the
+// tables-frozen / interpreter time ratio, each rep timing both engines back
+// to back (CPU speed divides out of every ratio, and the median drops the
+// reps a noise burst hit). The same ratio for the label stage alone, the
+// absolute ns/node and jobs/sec are recorded for the trajectory but not
+// gated.
 //
 // Usage: bench_report [--full] [--out <path>] [--baseline <path>]
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -33,13 +37,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "burstab/tables.h"
+#include "burstab/tableparse.h"
 #include "core/record.h"
 #include "models/workload.h"
 #include "net/server.h"
 #include "obs/coverage.h"
 #include "obs/metrics.h"
 #include "select/selector.h"
+#include "select/subject_map.h"
 #include "service/json.h"
 #include "service/service.h"
 #include "util/timer.h"
@@ -52,7 +57,7 @@ struct SelRow {
   std::string model;
   std::string engine;
   std::size_t nodes = 0;
-  double ns_per_node = 0;      // best-of-rounds mean (the gated statistic)
+  double ns_per_node = 0;      // best-of-rounds mean
   double p50_ns_per_node = 0;  // per-rep distribution, for tail visibility
   double p99_ns_per_node = 0;
 };
@@ -97,50 +102,123 @@ std::string chain_kernel(const models::ChainShape& s, int k) {
 
 constexpr double kRegressionTolerance = 1.25;  // fail beyond +25%
 
-double run_selection(const core::RetargetResult& target,
-                     const burstab::TargetTables* tables,
-                     const ir::Program& prog, int reps, SelRow& row,
-                     obs::CoverageMap* cov = nullptr) {
-  select::SelectScratch scratch;
-  {  // warm-up (also populates dynamic table entries / frozen snapshots)
-    util::DiagnosticSink d;
-    select::CodeSelector sel(*target.base, target.tree_grammar, d, tables,
-                             &scratch);
-    if (cov) sel.set_coverage(cov);
-    (void)sel.select(prog);
-  }
-  // Best-of-rounds: the minimum over several timed rounds is far less
-  // sensitive to scheduler noise than one mean — the regression gate needs
-  // a stable statistic, not an average of interruptions. Each rep is also
-  // timed individually into a histogram so the report can show the per-rep
-  // tail (p50/p99) that the best-of minimum deliberately hides.
-  constexpr int kRounds = 5;
-  obs::Histogram rep_ns;
-  double best_ms = -1;
-  for (int round = 0; round < kRounds; ++round) {
-    double round_ms = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      util::Timer timer;
-      util::DiagnosticSink d;
-      select::CodeSelector sel(*target.base, target.tree_grammar, d, tables,
-                               &scratch);
-      if (cov) sel.set_coverage(cov);
-      auto result = sel.select(prog);
-      double ms = timer.milliseconds();
-      if (!result) return -1;
-      row.nodes = sel.stats().nodes_labelled;
-      round_ms += ms;
-      rep_ns.record(static_cast<std::int64_t>(ms * 1e6));
-    }
-    double ms = round_ms / reps;
-    if (best_ms < 0 || ms < best_ms) best_ms = ms;
-  }
-  const double nodes = static_cast<double>(row.nodes);
-  const obs::HistogramStats dist = rep_ns.stats();
-  row.p50_ns_per_node = static_cast<double>(dist.p50) / nodes;
-  row.p99_ns_per_node = static_cast<double>(dist.p99) / nodes;
-  return best_ms * 1e6 / nodes;
+struct EngineRun {
+  const char* name;
+  const burstab::TargetTables* tables;
+  obs::CoverageMap* cov;
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n == 0 ? 0 : n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
+
+/// Times every engine on `prog`, interleaved rep by rep so all engines see
+/// the same machine state, and fills one row per engine. Returns the per-rep
+/// ratios of engine 1's time to engine 0's, or an empty vector when a
+/// selection fails.
+std::vector<double> run_selection(const core::RetargetResult& target,
+                                  const ir::Program& prog, int reps,
+                                  const std::vector<EngineRun>& engines,
+                                  std::vector<SelRow>& rows) {
+  select::SelectScratch scratch;
+  const auto time_one = [&](const EngineRun& e, SelRow& row) -> double {
+    util::Timer timer;
+    util::DiagnosticSink d;
+    select::CodeSelector sel(*target.base, target.tree_grammar, d, e.tables,
+                             &scratch);
+    if (e.cov) sel.set_coverage(e.cov);
+    auto result = sel.select(prog);
+    const double ms = timer.milliseconds();
+    row.nodes = sel.stats().nodes_labelled;
+    return result ? ms : -1;
+  };
+  rows.assign(engines.size(), SelRow{});
+  for (std::size_t i = 0; i < engines.size(); ++i)  // warm-up
+    if (time_one(engines[i], rows[i]) < 0) return {};
+
+  // Best-of-rounds per engine (the trajectory's ns_per_node) plus every
+  // rep into a histogram for the tail (p50/p99).
+  constexpr int kRounds = 5;
+  std::vector<obs::Histogram> rep_ns(engines.size());
+  std::vector<double> best_ms(engines.size(), -1);
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<double> round_ms(engines.size(), 0);
+    for (int rep = 0; rep < reps; ++rep) {
+      std::vector<double> ms(engines.size());
+      for (std::size_t i = 0; i < engines.size(); ++i) {
+        ms[i] = time_one(engines[i], rows[i]);
+        if (ms[i] < 0) return {};
+        round_ms[i] += ms[i];
+        rep_ns[i].record(static_cast<std::int64_t>(ms[i] * 1e6));
+      }
+      ratios.push_back(ms[1] / ms[0]);
+    }
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+      const double mean = round_ms[i] / reps;
+      if (best_ms[i] < 0 || mean < best_ms[i]) best_ms[i] = mean;
+    }
+  }
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    SelRow& row = rows[i];
+    row.engine = engines[i].name;
+    const double nodes = static_cast<double>(row.nodes);
+    const obs::HistogramStats dist = rep_ns[i].stats();
+    row.ns_per_node = best_ms[i] * 1e6 / nodes;
+    row.p50_ns_per_node = static_cast<double>(dist.p50) / nodes;
+    row.p99_ns_per_node = static_cast<double>(dist.p99) / nodes;
+  }
+  return ratios;
+}
+
+/// Label stage alone: per rep, the interpreter and then fresh TableParsers
+/// (one job's overlay each) label every subject tree of `prog` kInner
+/// times, back to back. Returns the median tables/interpreter time ratio,
+/// or -1 when a statement does not map. Whole-selection times hide the
+/// labeller behind the shared subject mapping, reduction and condition
+/// work; this ratio moves with table hits versus label-time computation.
+double label_ratio(const core::RetargetResult& target, const ir::Program& prog,
+                   int reps) {
+  constexpr int kInner = 20;  // each timed sample spans ~1 ms
+  util::DiagnosticSink diags;
+  select::SubjectMapper mapper(*target.base, target.tree_grammar, prog,
+                               diags);
+  std::vector<treeparse::SubjectTree> trees;
+  for (const ir::Stmt& stmt : prog.stmts()) {
+    if (stmt.kind != ir::Stmt::Kind::Assign &&
+        stmt.kind != ir::Stmt::Kind::Store)
+      continue;
+    std::optional<treeparse::SubjectTree> tree = mapper.map_stmt(stmt);
+    if (!tree) return -1;
+    trees.push_back(std::move(*tree));
+  }
+  const treeparse::TreeParser interp(target.tree_grammar);
+  treeparse::LabelResult out;
+  std::vector<double> ratios;
+  for (int rep = -1; rep < 5 * reps; ++rep) {  // rep -1 warms up
+    util::Timer timer;
+    for (int i = 0; i < kInner; ++i)
+      for (const treeparse::SubjectTree& t : trees) interp.label_into(t, out);
+    const double interp_ms = timer.milliseconds();
+    timer.reset();
+    for (int i = 0; i < kInner; ++i) {
+      const burstab::TableParser tabular(target.tree_grammar, *target.tables);
+      for (const treeparse::SubjectTree& t : trees) tabular.label_into(t, out);
+    }
+    if (rep >= 0) ratios.push_back(timer.milliseconds() / interp_ms);
+  }
+  return median(std::move(ratios));
+}
+
+/// Medians over reps of the tables-frozen / interpreter time ratio of one
+/// model. Only `select` is gated; `label` is reported.
+struct GateRow {
+  std::string model;
+  double select = 0;  // whole selection
+  double label = 0;   // label stage alone
+};
 
 }  // namespace
 
@@ -166,8 +244,9 @@ int main(int argc, char** argv) {
 
   // --- selection ns/node per model x engine --------------------------------
   std::vector<SelRow> sel_rows;
+  std::vector<GateRow> gate_rows;
   std::printf("selection ns/node (%d-term chains, %d reps)\n", terms, reps);
-  std::printf("%-11s %-14s %8s %12s %10s %10s\n", "model", "engine", "nodes",
+  std::printf("%-11s %-17s %8s %12s %10s %10s\n", "model", "engine", "nodes",
               "ns/node", "p50", "p99");
   for (const models::ChainShape& s : models::kChainShapes) {
     util::DiagnosticSink diags;
@@ -178,61 +257,47 @@ int main(int argc, char** argv) {
                    diags.first_error().c_str());
       return 1;
     }
-    burstab::TableBuildOptions hash_mode;
-    hash_mode.freeze = false;
-    burstab::TargetTables hash_tables(target->tree_grammar, hash_mode);
-
     ir::Program prog = models::chain_program(s, terms);
-    struct EngineRun {
-      const char* name;
-      const burstab::TargetTables* tables;
-    };
-    const EngineRun engines[] = {
-        {"interpreter", nullptr},
-        {"tables-hash", &hash_tables},
-        {"tables-frozen", target->tables.get()},
-    };
-    for (const EngineRun& e : engines) {
-      SelRow row;
-      row.model = s.model;
-      row.engine = e.name;
-      row.ns_per_node = run_selection(*target, e.tables, prog, reps, row);
-      if (row.ns_per_node < 0) {
-        std::fprintf(stderr, "%s/%s: selection failed\n", s.model, e.name);
-        return 1;
-      }
-      std::printf("%-11s %-14s %8zu %12.1f %10.1f %10.1f\n", s.model, e.name,
-                  row.nodes, row.ns_per_node, row.p50_ns_per_node,
-                  row.p99_ns_per_node);
-      sel_rows.push_back(std::move(row));
-    }
 
-    // Obs overhead: the frozen-table run once more with a live CoverageMap
-    // attached, so the report tracks what rule/state/transition recording
-    // costs on the hot labelling path (relative to the tables-frozen row
-    // above). Reported, not gated. With RECORD_OBS_DISABLE the record calls
-    // compile out and the report flags the column as compiled_out.
-    {
-      obs::CoverageMap::Config cc;
-      cc.rules = target->tree_grammar.rules().size();
-      cc.states = 4096;
-      cc.transitions = 1 << 16;
-      obs::CoverageMap cov(s.model, std::move(cc));
-      SelRow row;
+    // The third engine is the frozen tables once more with a live
+    // CoverageMap attached, so the report tracks what rule/state/transition
+    // recording costs on the hot labelling path (relative to the
+    // tables-frozen row). Reported, not gated. With RECORD_OBS_DISABLE the
+    // record calls compile out and the report flags the column as
+    // compiled_out.
+    obs::CoverageMap::Config cc;
+    cc.rules = target->tree_grammar.rules().size();
+    cc.states = target->tables->stats().states;
+    cc.transitions = target->tables->frozen()->slot_count;
+    obs::CoverageMap cov(s.model, std::move(cc));
+    const std::vector<EngineRun> engines = {
+        {"interpreter", nullptr, nullptr},
+        {"tables-frozen", target->tables.get(), nullptr},
+        {"tables-frozen-obs", target->tables.get(), &cov},
+    };
+    std::vector<SelRow> rows;
+    const std::vector<double> ratios =
+        run_selection(*target, prog, reps, engines, rows);
+    if (ratios.empty()) {
+      std::fprintf(stderr, "%s: selection failed\n", s.model);
+      return 1;
+    }
+    for (SelRow& row : rows) {
       row.model = s.model;
-      row.engine = "tables-frozen-obs";
-      row.ns_per_node =
-          run_selection(*target, target->tables.get(), prog, reps, row, &cov);
-      if (row.ns_per_node < 0) {
-        std::fprintf(stderr, "%s/tables-frozen-obs: selection failed\n",
-                     s.model);
-        return 1;
-      }
-      std::printf("%-11s %-14s %8zu %12.1f %10.1f %10.1f\n", s.model,
+      std::printf("%-11s %-17s %8zu %12.1f %10.1f %10.1f\n", s.model,
                   row.engine.c_str(), row.nodes, row.ns_per_node,
                   row.p50_ns_per_node, row.p99_ns_per_node);
       sel_rows.push_back(std::move(row));
     }
+    const double label = label_ratio(*target, prog, reps);
+    if (label < 0) {
+      std::fprintf(stderr, "%s: subject mapping failed\n", s.model);
+      return 1;
+    }
+    gate_rows.push_back(GateRow{s.model, median(ratios), label});
+    std::printf("%-11s tables-frozen/interpreter median ratio: select %.3f, "
+                "label %.3f\n",
+                s.model, gate_rows.back().select, label);
   }
 
   // --- service jobs/sec ----------------------------------------------------
@@ -423,6 +488,15 @@ int main(int argc, char** argv) {
     selection.push(std::move(row));
   }
   report.set("selection", std::move(selection));
+  service::Json gate = service::Json::array();
+  for (const GateRow& g : gate_rows) {
+    service::Json row = service::Json::object();
+    row.set("model", g.model);
+    row.set("frozen_over_interpreter_median", g.select);
+    row.set("label_frozen_over_interpreter_median", g.label);
+    gate.push(std::move(row));
+  }
+  report.set("gate", std::move(gate));
   // Coverage-recording overhead on the warm frozen-table path, per model:
   // tables-frozen-obs ns/node over tables-frozen ns/node, measured in the
   // same run so machine speed divides out.
@@ -476,38 +550,35 @@ int main(int argc, char** argv) {
                    baseline_path.c_str());
       return 1;
     }
-    // Gate the frozen/interpreter ns/node ratio per model. Both engines
-    // are measured back-to-back in one process, so the ratio is stable
+    // Gate the median same-run frozen/interpreter ratio per model: both
+    // engines are timed back to back in every rep, so the ratio is stable
     // across machines; comparing absolute timings against a baseline from
     // different hardware would gate on the runner, not the code.
-    auto ratio_of = [](const std::vector<SelRow>& rows,
-                       const std::string& model) -> double {
-      double interp = 0, frozen = 0;
-      for (const SelRow& r : rows) {
-        if (r.model != model) continue;
-        if (r.engine == "interpreter") interp = r.ns_per_node;
-        if (r.engine == "tables-frozen") frozen = r.ns_per_node;
-      }
-      return interp > 0 && frozen > 0 ? frozen / interp : -1;
-    };
-    std::vector<SelRow> base_rows;
-    const service::Json& bsel = (*base)["selection"];
-    for (std::size_t i = 0; i < bsel.size(); ++i) {
-      SelRow r;
-      r.model = bsel.at(i)["model"].as_string();
-      r.engine = bsel.at(i)["engine"].as_string();
-      r.ns_per_node = bsel.at(i)["ns_per_node"].as_number();
-      base_rows.push_back(std::move(r));
+    const service::Json& bgate = (*base)["gate"];
+    if (bgate.size() == 0) {
+      std::fprintf(stderr, "baseline %s has no gate rows; regenerate it\n",
+                   baseline_path.c_str());
+      return 1;
     }
-    for (const models::ChainShape& s : models::kChainShapes) {
-      double before = ratio_of(base_rows, s.model);
-      double now = ratio_of(sel_rows, s.model);
-      if (before <= 0 || now <= 0) continue;
-      if (now > before * kRegressionTolerance) {
+    for (const GateRow& g : gate_rows) {
+      double before = -1, label_before = -1;
+      for (std::size_t i = 0; i < bgate.size(); ++i)
+        if (bgate.at(i)["model"].as_string() == g.model) {
+          before = bgate.at(i)["frozen_over_interpreter_median"].as_number();
+          label_before =
+              bgate.at(i)["label_frozen_over_interpreter_median"].as_number();
+        }
+      if (before <= 0) continue;
+      std::printf("gate %-11s %.3f -> %.3f (%+.0f%%); label %.3f -> %.3f "
+                  "(not gated)\n",
+                  g.model.c_str(), before, g.select,
+                  (g.select / before - 1) * 100, label_before, g.label);
+      if (g.select > before * kRegressionTolerance) {
         std::fprintf(stderr,
-                     "REGRESSION %s: tables-frozen/interpreter ns ratio "
+                     "REGRESSION %s: tables-frozen/interpreter median ratio "
                      "%.3f -> %.3f (+%.0f%%)\n",
-                     s.model, before, now, (now / before - 1) * 100);
+                     g.model.c_str(), before, g.select,
+                     (g.select / before - 1) * 100);
         ++regressions;
       }
     }
