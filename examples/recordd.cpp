@@ -1,12 +1,16 @@
 // recordd — the compile service as a JSON-lines daemon.
 //
-// Two front ends over one protocol:
-//  - stdio (default): one request object per stdin line, one response per
-//    stdout line, in request order (responses stream while requests are
-//    still being read);
+// One request path: every request line goes through the src/net/ epoll
+// event loop (net::LineServer), which answers one response line per request
+// line, in request order, while later requests are still being read.
+//  - stdio (default): stdin and stdout are one LineServer connection — a
+//    socketpair end the server adopts, fed by two blocking byte pumps
+//    (fd 0 -> socket, socket -> fd 1), so pipes, ttys and regular files all
+//    work. stdin EOF answers everything pending, then exits; a failed
+//    stdout write stops the daemon with exit code 1;
 //  - socket (--listen / --unix): the same protocol over TCP or a Unix
-//    socket via the src/net/ epoll event loop — many concurrent clients,
-//    request pipelining per connection, responses byte-identical to stdio.
+//    socket — many concurrent clients, each its own connection. stdin EOF
+//    stops the daemon.
 //
 // Request:
 //   {"model": "tms320c25",             -- built-in model, or:
@@ -51,250 +55,199 @@
 //        --shards N --shard-index I (registry sharding across N instances),
 //        --deadline MS (default per-job deadline; jobs past it return
 //        ok:false with deadline_exceeded:true and a retry_after_ms hint),
-//        --idle-timeout MS (socket mode: close connections idle that long;
-//        default 300000, 0 = never),
-//        --request-timeout MS (socket mode: shed requests parked on a full
-//        queue longer than this; 0 = never),
-//        --max-parked N (socket mode: server-wide cap on parked requests;
-//        past it the globally oldest is shed with retry_after_ms; 0 = off).
+//        --idle-timeout MS (close connections idle that long; default
+//        300000 in socket mode, 0 = never in stdio mode),
+//        --request-timeout MS (shed requests parked on a full queue longer
+//        than this; 0 = never),
+//        --max-parked N (server-wide cap on parked requests; past it the
+//        globally oldest is shed with retry_after_ms; 0 = off).
+// Numeric values are plain decimal integers within each flag's range
+// (--workers and --shards at most 1024, MS values below 2^31, a port below
+// 65536); anything else exits 2 with the usage line.
 //
 // Failpoints (util/failpoint.h) arm from RECORD_FAILPOINTS
 // ("name=spec;name2=spec2") at startup, or at runtime via
 // {"cmd": "failpoint", "name": ..., "spec": "once"|"every:N"|"sleep:MS"|"off"}.
 //
 // Try:  printf '%s\n' '{"model": "demo", "source": "kernel k;\nbind a: R0;\ncell x: mem[1];\na = a + x;"}' | ./build/example_recordd
-#include <algorithm>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <charconv>
 #include <csignal>
-#include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <future>
 #include <iostream>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "net/server.h"
-#include "net/shard.h"
 #include "obs/coverage.h"
 #include "obs/trace.h"
-#include "service/introspect.h"
-#include "service/json.h"
-#include "service/service.h"
-#include "service/wire.h"
 #include "util/failpoint.h"
-#include "util/strings.h"
 
 using namespace record;
-using service::Json;
 
 namespace {
 
-/// Runs the stdio front end: stdin lines against the printer thread that
-/// drains responses in request order. Returns the exit code. A stdout write
-/// failure (consumer closed the pipe) stops the printer: with nobody
-/// reading, finishing the queued work has no observer.
-int run_stdio(service::CompileService& svc, const net::ShardConfig& shard,
-              bool want_listing, std::size_t queue_capacity,
-              std::uint64_t default_deadline_ms) {
-  // An entry is a compile job's future, a deferred control-plane command, or
-  // an already-rendered line (parse errors, shard ownership rejections).
-  // Control commands are evaluated when the printer reaches them, so a
-  // stats response counts every job answered above it. The deque is bounded
-  // so a slow head-of-line job cannot pile up an unbounded backlog.
-  struct Out {
-    std::optional<std::future<service::JobResult>> job;
-    std::optional<Json> control;  // the "cmd" request, evaluated in order
-    std::string line;             // used when neither job nor control
-  };
-  const std::size_t max_pending = 2 * std::max<std::size_t>(queue_capacity, 1);
-  std::deque<Out> pending;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool input_done = false;
-  bool output_dead = false;  // stdout write failed; set by the printer
+[[noreturn]] void usage() {
+  std::fprintf(
+      stderr,
+      "usage: recordd [--workers N] [--queue N] [--registry N] [--cache] "
+      "[--listing] [--stats] [--trace FILE] [--listen [HOST:]PORT] "
+      "[--unix PATH] [--shards N --shard-index I] [--deadline MS] "
+      "[--idle-timeout MS] [--request-timeout MS] [--max-parked N]"
+      "  < requests.jsonl\n");
+  std::exit(2);
+}
 
-  std::optional<net::ShardRing> ring;
-  if (shard.enabled()) ring.emplace(shard.count);
+/// A flag value from the command line: a plain decimal integer in [0, max].
+/// Signs, spaces, trailing junk and overflow are usage errors.
+std::uint64_t parse_count(const char* flag, const std::string& text,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || value > max) {
+    std::fprintf(stderr,
+                 "recordd: %s needs an integer in [0, %llu], got '%s'\n",
+                 flag, static_cast<unsigned long long>(max), text.c_str());
+    usage();
+  }
+  return value;
+}
 
-  std::thread printer([&] {
-    for (;;) {
-      Out next;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return input_done || !pending.empty(); });
-        if (pending.empty()) return;
-        next = std::move(pending.front());
-        pending.pop_front();
-      }
-      cv.notify_all();  // reader may be waiting on the pending bound
-      std::string line;
-      if (next.job) {
-        line = service::response_from_result(next.job->get()).dump();
-      } else if (next.control) {
-        const Json& request = *next.control;
-        if (request["cmd"].as_string() == "shard") {
-          line = net::shard_response(request, shard,
-                                     svc.registry().options().retarget)
-                     .dump();
-        } else {
-          line = service::handle_introspection(request, svc)
-                     .value_or(Json::object())
-                     .dump();
-        }
-      } else {
-        line = std::move(next.line);
-      }
-      // A failed write means the consumer is gone (SIGPIPE is ignored, so
-      // the failure surfaces as EPIPE here). Drop the remaining backlog:
-      // draining futures nobody will read only burns the pool.
-      if (std::fprintf(stdout, "%s\n", line.c_str()) < 0 ||
-          std::fflush(stdout) != 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        output_dead = true;
-        pending.clear();
-        cv.notify_all();
-        return;
-      }
+/// Copies `from` to `to` until EOF (true) or a failed write (false: the
+/// reader is gone; SIGPIPE is ignored, so EPIPE lands here).
+bool pump(int from, int to) {
+  char buf[65536];
+  for (;;) {
+    ssize_t n = ::read(from, buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return true;
+    for (ssize_t done = 0; done < n;) {
+      ssize_t w = ::write(to, buf + done, static_cast<std::size_t>(n - done));
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) return false;
+      done += w;
     }
+  }
+}
+
+/// Serves stdin/stdout as one connection of `server`: the server adopts one
+/// end of a socketpair, and two blocking pumps copy bytes between the other
+/// end and fds 0/1. Returns the exit code: 1 when a stdout write failed or
+/// the server stopped reading before stdin ended.
+int serve_stdio(net::LineServer& server) {
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+    std::fprintf(stderr, "recordd: socketpair: %s\n", std::strerror(errno));
+    return 1;
+  }
+  std::string error;
+  if (!server.adopt(sv[0], &error)) {
+    std::fprintf(stderr, "recordd: %s\n", error.c_str());
+    ::close(sv[1]);
+    return 1;
+  }
+  const int peer = sv[1];
+  // socket -> stdout until the server closes the connection. When the
+  // consumer is gone, shutting the socket both ways makes the server drop
+  // the connection and the input pump's next write fail.
+  bool output_ok = true;
+  std::thread output([&] {
+    output_ok = pump(peer, STDOUT_FILENO);
+    if (!output_ok) ::shutdown(peer, SHUT_RDWR);
   });
-
-  auto enqueue = [&](Out out) -> bool {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return output_dead || pending.size() < max_pending; });
-    if (output_dead) return false;
-    pending.push_back(std::move(out));
-    lock.unlock();
-    cv.notify_one();
-    return true;
-  };
-
-  std::string line;
-  std::size_t lineno = 0;
-  bool input_ok = true;
-  while (input_ok && std::getline(std::cin, line)) {
-    ++lineno;
-    if (util::trim(line).empty()) continue;
-    std::string error;
-    std::optional<Json> request = Json::parse(line, &error);
-    if (!request || !request->is_object()) {
-      input_ok = enqueue(
-          Out{std::nullopt, std::nullopt,
-              service::bad_request_line(lineno, error.empty() ? "not an object"
-                                                              : error)});
-      continue;
-    }
-    // Control-plane commands defer to the printer so they observe every job
-    // answered before them.
-    if (request->contains("cmd")) {
-      input_ok = enqueue(Out{std::nullopt, std::move(*request), {}});
-      continue;
-    }
-    if (ring) {
-      std::size_t owner = ring->owner_of(net::target_key_of(
-          *request, svc.registry().options().retarget));
-      if (owner != shard.index) {
-        input_ok = enqueue(
-            Out{std::nullopt, std::nullopt,
-                net::not_owned_response(*request, owner, shard.count).dump()});
-        continue;
-      }
-    }
-    service::CompileJob job =
-        service::job_from_request(*request, want_listing);
-    if (job.deadline_ms == 0) job.deadline_ms = default_deadline_ms;
-    input_ok = enqueue(Out{svc.submit(std::move(job)), std::nullopt, {}});
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    input_done = true;
-  }
-  cv.notify_all();
-  printer.join();
-  return input_ok ? 0 : 1;
+  // stdin -> socket. The half-close at EOF tells the server to answer
+  // everything pending, then close.
+  const bool input_ok = pump(STDIN_FILENO, peer);
+  ::shutdown(peer, SHUT_WR);
+  output.join();
+  ::close(peer);
+  return input_ok && output_ok ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::uint64_t kMaxPool = 1024;  // --workers, --shards
+  constexpr std::uint64_t kMaxMs = 0x7fffffff;
+  constexpr std::uint64_t kMaxSize = SIZE_MAX;
   service::CompileService::Options opts;
   opts.registry.capacity = 16;
-  bool want_listing = false;
+  net::LineServer::Options sopts;
   bool want_stats = false;
+  bool listen = false;
   std::string trace_path;
-  std::string listen_spec;
-  std::string unix_path;
-  net::ShardConfig shard;
-  std::uint64_t default_deadline_ms = 0;
-  long idle_timeout_ms = -1;  // -1 = flag absent (socket default applies)
-  std::uint64_t request_timeout_ms = 0;
-  std::size_t max_parked = 0;
+  std::optional<std::uint64_t> idle_timeout_ms;
   for (int i = 1; i < argc; ++i) {
-    auto value = [&](const char* flag) -> long {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "recordd: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return std::strtol(argv[++i], nullptr, 10);
-    };
     auto text = [&](const char* flag) -> std::string {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "recordd: %s needs a value\n", flag);
-        std::exit(2);
+        usage();
       }
       return argv[++i];
     };
+    auto value = [&](const char* flag, std::uint64_t max) {
+      return parse_count(flag, text(flag), max);
+    };
     if (!std::strcmp(argv[i], "--workers")) {
-      opts.workers = static_cast<std::size_t>(value("--workers"));
+      opts.workers = value("--workers", kMaxPool);
     } else if (!std::strcmp(argv[i], "--queue")) {
-      opts.queue_capacity = static_cast<std::size_t>(value("--queue"));
+      opts.queue_capacity = value("--queue", kMaxSize);
     } else if (!std::strcmp(argv[i], "--registry")) {
-      opts.registry.capacity = static_cast<std::size_t>(value("--registry"));
+      opts.registry.capacity = value("--registry", kMaxSize);
     } else if (!std::strcmp(argv[i], "--cache")) {
       opts.registry.retarget.use_target_cache = true;
     } else if (!std::strcmp(argv[i], "--listing")) {
-      want_listing = true;
+      sopts.default_listing = true;
     } else if (!std::strcmp(argv[i], "--stats")) {
       want_stats = true;
     } else if (!std::strcmp(argv[i], "--trace")) {
       trace_path = text("--trace");
     } else if (!std::strcmp(argv[i], "--listen")) {
-      listen_spec = text("--listen");
+      std::string spec = text("--listen");
+      std::size_t colon = spec.rfind(':');
+      if (colon != std::string::npos) {
+        sopts.host = spec.substr(0, colon);
+        spec.erase(0, colon + 1);
+      }
+      sopts.port =
+          static_cast<std::uint16_t>(parse_count("--listen", spec, 65535));
+      listen = true;
     } else if (!std::strcmp(argv[i], "--unix")) {
-      unix_path = text("--unix");
+      sopts.unix_path = text("--unix");
+      listen = true;
     } else if (!std::strcmp(argv[i], "--shards")) {
-      shard.count = static_cast<std::size_t>(value("--shards"));
+      sopts.shard.count = value("--shards", kMaxPool);
     } else if (!std::strcmp(argv[i], "--shard-index")) {
-      shard.index = static_cast<std::size_t>(value("--shard-index"));
+      sopts.shard.index = value("--shard-index", kMaxPool);
     } else if (!std::strcmp(argv[i], "--deadline")) {
-      default_deadline_ms = static_cast<std::uint64_t>(value("--deadline"));
+      sopts.default_deadline_ms = value("--deadline", kMaxMs);
     } else if (!std::strcmp(argv[i], "--idle-timeout")) {
-      idle_timeout_ms = value("--idle-timeout");
+      idle_timeout_ms = value("--idle-timeout", kMaxMs);
     } else if (!std::strcmp(argv[i], "--request-timeout")) {
-      request_timeout_ms =
-          static_cast<std::uint64_t>(value("--request-timeout"));
+      sopts.request_timeout_ms = value("--request-timeout", kMaxMs);
     } else if (!std::strcmp(argv[i], "--max-parked")) {
-      max_parked = static_cast<std::size_t>(value("--max-parked"));
+      sopts.max_parked = value("--max-parked", kMaxSize);
     } else {
-      std::fprintf(
-          stderr,
-          "usage: recordd [--workers N] [--queue N] [--registry N] [--cache] "
-          "[--listing] [--stats] [--trace FILE] [--listen [HOST:]PORT] "
-          "[--unix PATH] [--shards N --shard-index I] [--deadline MS] "
-          "[--idle-timeout MS] [--request-timeout MS] [--max-parked N]"
-          "  < requests.jsonl\n");
-      return 2;
+      usage();
     }
   }
-  if (shard.count > 0 && shard.index >= shard.count) {
+  if (sopts.shard.count > 0 && sopts.shard.index >= sopts.shard.count) {
     std::fprintf(stderr, "recordd: --shard-index %zu out of range for %zu "
                          "shards\n",
-                 shard.index, shard.count);
+                 sopts.shard.index, sopts.shard.count);
     return 2;
   }
+  // Socket mode defaults to a 5-minute idle timeout; stdio never idles out.
+  // --idle-timeout overrides either (0 = never).
+  sopts.idle_timeout_ms = idle_timeout_ms.value_or(listen ? 300000 : 0);
   // A client (or the stdout consumer) closing mid-stream must fail the
   // write, not kill the daemon with SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
@@ -308,52 +261,30 @@ int main(int argc, char** argv) {
   obs::coverage().enable();
 
   service::CompileService svc(opts);
+  net::LineServer server(svc, sopts);
 
   int exit_code = 0;
-  if (!listen_spec.empty() || !unix_path.empty()) {
-    net::LineServer::Options sopts;
-    sopts.unix_path = unix_path;
-    sopts.default_listing = want_listing;
-    sopts.shard = shard;
-    sopts.default_deadline_ms = default_deadline_ms;
-    // Socket mode defaults to a 5-minute idle timeout; --idle-timeout 0
-    // turns it off, any other value overrides it.
-    sopts.idle_timeout_ms =
-        idle_timeout_ms < 0 ? 300000 : std::uint64_t(idle_timeout_ms);
-    sopts.request_timeout_ms = request_timeout_ms;
-    sopts.max_parked = max_parked;
-    if (!listen_spec.empty()) {
-      std::size_t colon = listen_spec.rfind(':');
-      if (colon != std::string::npos) {
-        sopts.host = listen_spec.substr(0, colon);
-        sopts.port = static_cast<std::uint16_t>(
-            std::strtol(listen_spec.c_str() + colon + 1, nullptr, 10));
-      } else {
-        sopts.port = static_cast<std::uint16_t>(
-            std::strtol(listen_spec.c_str(), nullptr, 10));
-      }
-    }
-    net::LineServer server(svc, sopts);
+  if (listen) {
     std::string error;
     if (!server.start(&error)) {
       std::fprintf(stderr, "recordd: %s\n", error.c_str());
       return 1;
     }
-    if (!unix_path.empty())
-      std::fprintf(stderr, "recordd: listening on %s\n", unix_path.c_str());
+    if (!sopts.unix_path.empty())
+      std::fprintf(stderr, "recordd: listening on %s\n",
+                   sopts.unix_path.c_str());
     else
       std::fprintf(stderr, "recordd: listening on %s:%u\n",
-                   server.options().host.c_str(), unsigned(server.port()));
+                   sopts.host.c_str(), unsigned(server.port()));
     // Serve until stdin closes — the conventional daemon lifetime under a
     // supervisor, and what lets tests drive a clean shutdown.
     std::string line;
     while (std::getline(std::cin, line)) {
     }
-    server.stop();
   } else {
-    exit_code = run_stdio(svc, shard, want_listing, opts.queue_capacity,
-                          default_deadline_ms);
+    exit_code = serve_stdio(server);
   }
+  server.stop();
 
   if (!trace_path.empty() &&
       !obs::Tracer::instance().write_chrome_trace(trace_path))

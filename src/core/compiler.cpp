@@ -105,11 +105,15 @@ std::optional<CompileResult> Compiler::compile(
     cov->record_variant(obs::CoverageVariant::kCompactModeSet,
                         cs.mode_sets_inserted);
   }
+  // Cached handles: every compile records one of these, and name
+  // resolution takes the registry mutex.
+  static obs::Counter& failed = obs::metrics().counter("compile.failed");
+  static obs::Counter& ok = obs::metrics().counter("compile.ok");
   if (!diags.ok()) {
-    obs::metrics().counter("compile.failed").add(1);
+    failed.add(1);
     return std::nullopt;
   }
-  obs::metrics().counter("compile.ok").add(1);
+  ok.add(1);
   span.note("processor", target_->processor);
   span.note("words", static_cast<std::int64_t>(result.code_size()));
   span.note("rts", static_cast<std::int64_t>(result.selection.total_rts));

@@ -35,6 +35,10 @@ constexpr std::uint64_t kListenId = 0;
 constexpr std::uint64_t kWakeId = 1;
 constexpr std::uint64_t kFirstConnId = 2;
 
+// In-flight response slots per connection: a connection this far ahead of
+// its answers stops reading until they flush.
+constexpr std::size_t kMaxPipeline = 512;
+
 bool set_nonblocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -82,70 +86,95 @@ LineServer::LineServer(service::CompileService& service, Options options)
 
 LineServer::~LineServer() { stop(); }
 
-std::size_t LineServer::pipeline_limit() const {
-  return options_.max_pipeline ? options_.max_pipeline : 512;
+bool LineServer::setup_failed(std::string* error, const std::string& what) {
+  if (error) *error = util::fmt("{}: {}", what, std::strerror(errno));
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  return false;
 }
 
 bool LineServer::start(std::string* error) {
-  auto fail = [&](const std::string& msg) {
-    if (error) *error = util::fmt("{}: {}", msg, std::strerror(errno));
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  if (started_) {
+    if (error) *error = "server already running";
     return false;
-  };
-  if (started_) return true;
+  }
 
   if (!options_.unix_path.empty()) {
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return fail("socket");
+    if (listen_fd_ < 0) return setup_failed(error, "socket");
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (options_.unix_path.size() >= sizeof addr.sun_path)
-      return fail("unix socket path too long");
+      return setup_failed(error, "unix socket path too long");
     std::strncpy(addr.sun_path, options_.unix_path.c_str(),
                  sizeof addr.sun_path - 1);
     ::unlink(options_.unix_path.c_str());  // stale socket from a dead daemon
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
         0)
-      return fail("bind " + options_.unix_path);
+      return setup_failed(error, "bind " + options_.unix_path);
   } else {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return fail("socket");
+    if (listen_fd_ < 0) return setup_failed(error, "socket");
     int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(options_.port);
     if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1)
-      return fail("bad listen address " + options_.host);
+      return setup_failed(error, "bad listen address " + options_.host);
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
         0)
-      return fail("bind " + options_.host);
+      return setup_failed(error, "bind " + options_.host);
     sockaddr_in bound{};
     socklen_t len = sizeof bound;
     if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
         0)
       bound_port_ = ntohs(bound.sin_port);
   }
-  if (!set_nonblocking(listen_fd_)) return fail("nonblocking listener");
-  if (::listen(listen_fd_, 128) != 0) return fail("listen");
+  if (!set_nonblocking(listen_fd_))
+    return setup_failed(error, "nonblocking listener");
+  if (::listen(listen_fd_, 128) != 0) return setup_failed(error, "listen");
+  return launch(error);
+}
 
+bool LineServer::adopt(int fd, std::string* error) {
+  if (!set_nonblocking(fd)) {
+    if (error)
+      *error = util::fmt("nonblocking socket: {}", std::strerror(errno));
+    ::close(fd);
+    return false;
+  }
+  if (!started_ && !launch(error)) {
+    ::close(fd);
+    return false;
+  }
+  // The loop thread owns every Conn: hand the socket over and wake it.
+  std::lock_guard<std::mutex> lock(done_mu_);
+  adopted_.push_back(fd);
+  std::uint64_t one = 1;
+  (void)!::write(wake_fd_, &one, sizeof one);
+  return true;
+}
+
+bool LineServer::launch(std::string* error) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) return fail("epoll_create1");
+  if (epoll_fd_ < 0) return setup_failed(error, "epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) return fail("eventfd");
+  if (wake_fd_ < 0) return setup_failed(error, "eventfd");
 
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenId;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0)
-    return fail("epoll_ctl listener");
+  if (listen_fd_ >= 0) {
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenId;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0)
+      return setup_failed(error, "epoll_ctl listener");
+  }
   ev.events = EPOLLIN;
   ev.data.u64 = kWakeId;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0)
-    return fail("epoll_ctl eventfd");
+    return setup_failed(error, "epoll_ctl eventfd");
 
   started_ = true;
   loop_ = std::thread([this] { run(); });
@@ -168,14 +197,18 @@ void LineServer::stop() {
     std::unique_lock<std::mutex> lock(done_mu_);
     done_cv_.wait(lock, [&] { return outstanding_ == 0; });
     done_.clear();
+    for (int fd : adopted_) ::close(fd);  // handed over, never registered
+    adopted_.clear();
   }
   for (auto& [id, conn] : conns_) ::close(conn.fd);
   conns_.clear();
-  ::close(listen_fd_);
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
+  }
   ::close(epoll_fd_);
   ::close(wake_fd_);
   listen_fd_ = epoll_fd_ = wake_fd_ = -1;
-  if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
   started_ = false;
 }
 
@@ -196,10 +229,13 @@ void LineServer::run() {
         std::uint64_t drained;
         while (::read(wake_fd_, &drained, sizeof drained) > 0) {
         }
+        std::vector<int> adopted;
         {
           std::lock_guard<std::mutex> lock(done_mu_);
           if (stopping_) return;
+          adopted.swap(adopted_);
         }
+        for (int fd : adopted) add_conn(fd);
         drain_completions();
         continue;
       }
@@ -262,8 +298,7 @@ void LineServer::expire_timers(std::uint64_t now) {
     if (!conn.parked.empty())
       wheel_.arm(tid, conn.parked.front().parked_at_ms +
                           options_.request_timeout_ms);
-    if (conn.parked.empty() && !conn.inbuf.empty()) parse_lines(conn);
-    if (conns_.find(conn_id) != conns_.end()) flush_ready(conn);
+    flush_ready(conn);
   }
 }
 
@@ -297,8 +332,10 @@ void LineServer::shed_oldest_parked(std::uint64_t skip_flush_id) {
   if (!oldest) return;
   shed_parked(*oldest, "overloaded: parked request shed (server saturated)");
   // Flushing may close the victim; never flush the connection the caller
-  // still holds a reference into (it flushes itself after parking).
-  if (oldest->id != skip_flush_id) flush_ready(*oldest);
+  // still holds a reference into (it flushes itself after parking). No
+  // parsing either: the caller is mid-park, and the victim's next lines
+  // wait for the next completion.
+  if (oldest->id != skip_flush_id) flush_ready(*oldest, /*parse=*/false);
 }
 
 void LineServer::handle_accept() {
@@ -306,25 +343,29 @@ void LineServer::handle_accept() {
     int fd = ::accept4(listen_fd_, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN (or a transient error): try next wakeup
-    std::uint64_t id = next_conn_id_++;
-    Conn& conn = conns_[id];
-    conn.fd = fd;
-    conn.id = id;
-    conn.events = EPOLLIN;
-    epoll_event ev{};
-    ev.events = conn.events;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      conns_.erase(id);
-      continue;
-    }
-    conn.last_activity_ms = now_ms();
-    if (options_.idle_timeout_ms)
-      wheel_.arm(id * 2, conn.last_activity_ms + options_.idle_timeout_ms);
-    net_counters().accepted.add(1);
-    net_counters().connections.add(1);
+    add_conn(fd);
   }
+}
+
+void LineServer::add_conn(int fd) {
+  std::uint64_t id = next_conn_id_++;
+  Conn& conn = conns_[id];
+  conn.fd = fd;
+  conn.id = id;
+  conn.events = EPOLLIN;
+  epoll_event ev{};
+  ev.events = conn.events;
+  ev.data.u64 = id;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    ::close(fd);
+    conns_.erase(id);
+    return;
+  }
+  conn.last_activity_ms = now_ms();
+  if (options_.idle_timeout_ms)
+    wheel_.arm(id * 2, conn.last_activity_ms + options_.idle_timeout_ms);
+  net_counters().accepted.add(1);
+  net_counters().connections.add(1);
 }
 
 void LineServer::handle_readable(Conn& conn) {
@@ -335,29 +376,21 @@ void LineServer::handle_readable(Conn& conn) {
     if (n > 0) {
       net_counters().read_bytes.add(static_cast<std::uint64_t>(n));
       conn.inbuf.append(buf, static_cast<std::size_t>(n));
-      // Oversized-line guard before buffering more: a line that cannot end
-      // within max_line has lost framing for good.
-      if (conn.inbuf.size() > options_.max_line &&
-          conn.inbuf.find('\n') == std::string::npos) {
-        net_counters().oversized.add(1);
-        Json err = Json::object();
-        err.set("ok", Json(false));
-        err.set("error", Json("request line too long"));
-        conn.slots.push_back(
-            Slot{conn.next_serial++, true, err.dump(), std::nullopt});
-        conn.eof = true;  // close after the error flushes
-        conn.inbuf.clear();
-        break;
-      }
+      // Buffer at most about one maximal line before parsing: parse_lines
+      // rejects a line that cannot end within max_line, and the rest of
+      // the input stays in the socket until parsing consumes this.
+      if (conn.inbuf.size() > options_.max_line) break;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     // 0 = clean EOF; anything else is a dead peer. Either way: no more
-    // requests, but responses already in flight still flush.
+    // requests, but responses already in flight still flush. A last line
+    // cut off by the EOF is still a request.
+    if (n == 0 && !conn.inbuf.empty() && conn.inbuf.back() != '\n')
+      conn.inbuf.push_back('\n');
     conn.eof = true;
     break;
   }
-  parse_lines(conn);
   flush_ready(conn);
 }
 
@@ -365,24 +398,19 @@ void LineServer::parse_lines(Conn& conn) {
   std::size_t start = 0;
   for (;;) {
     if (!conn.parked.empty()) break;  // preserve submission order
-    if (conn.slots.size() >= pipeline_limit()) break;
+    if (conn.slots.size() >= kMaxPipeline) break;
     std::size_t nl = conn.inbuf.find('\n', start);
+    if ((nl == std::string::npos ? conn.inbuf.size() : nl) - start >
+        options_.max_line) {
+      reject_oversized(conn);
+      return;
+    }
     if (nl == std::string::npos) break;
     std::string_view line(conn.inbuf.data() + start, nl - start);
     start = nl + 1;
     ++conn.lineno;
     if (util::trim(line).empty()) continue;
     net_counters().requests.add(1);
-    if (line.size() > options_.max_line) {
-      net_counters().oversized.add(1);
-      Json err = Json::object();
-      err.set("ok", Json(false));
-      err.set("error", Json("request line too long"));
-      conn.slots.push_back(
-          Slot{conn.next_serial++, true, err.dump(), std::nullopt});
-      conn.eof = true;
-      break;
-    }
     std::string error;
     std::optional<Json> request = Json::parse(line, &error);
     if (!request || !request->is_object()) {
@@ -392,8 +420,8 @@ void LineServer::parse_lines(Conn& conn) {
       continue;
     }
     if (request->contains("cmd")) {
-      // Deferred like the stdio printer: evaluated when it reaches the
-      // front, so a stats response counts every job answered above it.
+      // Deferred: evaluated when it reaches the front, so a stats response
+      // counts every job answered above it.
       conn.slots.push_back(
           Slot{conn.next_serial++, false, {}, std::move(*request)});
       continue;
@@ -421,9 +449,19 @@ void LineServer::parse_lines(Conn& conn) {
   conn.inbuf.erase(0, start);
 }
 
-void LineServer::submit_or_park(Conn& conn, std::uint64_t serial,
-                                service::CompileJob job) {
-  std::uint64_t conn_id = conn.id;
+void LineServer::reject_oversized(Conn& conn) {
+  net_counters().oversized.add(1);
+  Json err = Json::object();
+  err.set("ok", Json(false));
+  err.set("error", Json("request line too long"));
+  conn.slots.push_back(
+      Slot{conn.next_serial++, true, err.dump(), std::nullopt});
+  conn.eof = true;  // close after the error flushes
+  conn.inbuf.clear();
+}
+
+bool LineServer::try_submit(std::uint64_t conn_id, std::uint64_t serial,
+                            service::CompileJob& job) {
   service::CompileService::Callback done =
       [this, conn_id, serial](service::JobResult result) {
         std::lock_guard<std::mutex> lock(done_mu_);
@@ -437,11 +475,15 @@ void LineServer::submit_or_park(Conn& conn, std::uint64_t serial,
     std::lock_guard<std::mutex> lock(done_mu_);
     ++outstanding_;  // claimed up front so stop() never misses a callback
   }
-  if (!service_.try_submit_async(job, done)) {
-    {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      --outstanding_;
-    }
+  if (service_.try_submit_async(job, done)) return true;
+  std::lock_guard<std::mutex> lock(done_mu_);
+  --outstanding_;
+  return false;
+}
+
+void LineServer::submit_or_park(Conn& conn, std::uint64_t serial,
+                                service::CompileJob job) {
+  if (!try_submit(conn.id, serial, job)) {
     net_counters().queue_stalls.add(1);
     // Saturation: make room by shedding the globally oldest parked request
     // before this one parks — deterministic oldest-first under overload.
@@ -459,30 +501,11 @@ void LineServer::retry_parked() {
   for (auto& [id, conn] : conns_) {
     while (!conn.parked.empty()) {
       Parked& head = conn.parked.front();
-      std::uint64_t conn_id = conn.id;
-      std::uint64_t serial = head.serial;
-      service::CompileService::Callback done =
-          [this, conn_id, serial](service::JobResult result) {
-            std::lock_guard<std::mutex> lock(done_mu_);
-            done_.push_back(Done{conn_id, serial, std::move(result)});
-            --outstanding_;
-            done_cv_.notify_all();
-            std::uint64_t one = 1;
-            (void)!::write(wake_fd_, &one, sizeof one);
-          };
-      {
-        std::lock_guard<std::mutex> lock(done_mu_);
-        ++outstanding_;
-      }
-      if (!service_.try_submit_async(head.job, done)) {
-        std::lock_guard<std::mutex> lock(done_mu_);
-        --outstanding_;
-        break;  // queue still full; a later completion retries
-      }
+      // Queue still full: a later completion retries.
+      if (!try_submit(conn.id, head.serial, head.job)) break;
       conn.parked.pop_front();
       --parked_total_;
     }
-    if (conn.parked.empty() && !conn.inbuf.empty()) parse_lines(conn);
   }
 }
 
@@ -515,32 +538,39 @@ void LineServer::drain_completions() {
   }
 }
 
-void LineServer::flush_ready(Conn& conn) {
+void LineServer::flush_ready(Conn& conn, bool parse) {
   for (;;) {
-    if (conn.slots.empty()) break;
-    Slot& front = conn.slots.front();
-    if (!front.done && front.control) {
-      // Control command at the front of the pipeline: evaluate it now, with
-      // every preceding job already answered.
-      const Json& request = *front.control;
-      if (request["cmd"].as_string() == "shard") {
-        front.text =
-            shard_response(request, options_.shard,
-                           service_.registry().options().retarget)
-                .dump();
-      } else {
-        front.text = service::handle_introspection(request, service_)
-                         .value_or(Json::object())
-                         .dump();
+    while (!conn.slots.empty()) {
+      Slot& front = conn.slots.front();
+      if (!front.done && front.control) {
+        // Control command at the front of the pipeline: evaluate it now,
+        // with every preceding job already answered.
+        const Json& request = *front.control;
+        if (request["cmd"].as_string() == "shard") {
+          front.text =
+              shard_response(request, options_.shard,
+                             service_.registry().options().retarget)
+                  .dump();
+        } else {
+          front.text = service::handle_introspection(request, service_)
+                           .value_or(Json::object())
+                           .dump();
+        }
+        front.done = true;
+        front.control.reset();
       }
-      front.done = true;
-      front.control.reset();
+      if (!front.done) break;
+      conn.outbuf += front.text;
+      conn.outbuf.push_back('\n');
+      net_counters().responses.add(1);
+      conn.slots.pop_front();
     }
-    if (!front.done) break;
-    conn.outbuf += front.text;
-    conn.outbuf.push_back('\n');
-    net_counters().responses.add(1);
-    conn.slots.pop_front();
+    // Flushing freed pipeline slots: parse the lines already buffered now,
+    // since no read event may be left to do it (all input read, or EOF).
+    if (!parse || conn.inbuf.empty()) break;
+    const std::size_t in_flight = conn.slots.size();
+    parse_lines(conn);
+    if (conn.slots.size() == in_flight) break;
   }
   handle_writable(conn);
 }
@@ -584,7 +614,7 @@ void LineServer::update_interest(Conn& conn) {
   bool writebuf_full = conn.outbuf.size() - conn.outpos >
                        options_.max_write_buffer;
   bool paused = conn.eof || !conn.parked.empty() || writebuf_full ||
-                conn.slots.size() >= pipeline_limit();
+                conn.slots.size() >= kMaxPipeline;
   if (!paused) want |= EPOLLIN;
   if (conn.outpos < conn.outbuf.size()) want |= EPOLLOUT;
   if (want == conn.events) return;

@@ -1,9 +1,10 @@
 // Socket front end for the compile service: a single-threaded epoll event
-// loop serving the JSON-lines protocol (the exact codec in service/wire.h,
-// so responses are byte-identical to the stdio daemon) over TCP or a Unix
-// socket.
+// loop serving the JSON-lines protocol (the codec in service/wire.h) over
+// TCP, a Unix socket, or an already-connected stream socket handed in with
+// adopt() — recordd's stdio mode is one adopted socketpair end, so every
+// front end shares this one request path.
 //
-//        accept ──► Conn{ inbuf ── parse line ──► response slot deque }
+//   accept/adopt ──► Conn{ inbuf ── parse line ──► response slot deque }
 //                          │                            │
 //                          │ try_submit_async           │ in-order flush
 //                          ▼                            ▼
@@ -16,15 +17,14 @@
 // Ordering: each request reserves a response slot at parse time and slots
 // flush strictly in order, so pipelined requests answer in request order.
 // Control-plane commands ("cmd": stats / trace / explain / shard) are
-// evaluated only when their slot reaches the front — the same semantics as
-// the stdio printer thread: a stats response counts every job answered
-// above it.
+// evaluated only when their slot reaches the front, so a stats response
+// counts every job answered above it.
 //
 // Backpressure, both directions:
 //  - compile queue full: try_submit_async fails, the job parks, and the
 //    connection stops reading until a completion frees a slot;
 //  - slow reader: a connection whose outbuf exceeds max_write_buffer (or
-//    that has max_pipeline slots in flight) stops reading until the client
+//    that has 512 response slots in flight) stops reading until the client
 //    drains it. Either way the kernel socket buffer, not daemon memory,
 //    absorbs the client's burst.
 #pragma once
@@ -61,16 +61,13 @@ class LineServer {
     /// Slow-reader watermark: stop reading from a connection whose unsent
     /// responses exceed this many bytes.
     std::size_t max_write_buffer = 4u << 20;
-    /// In-flight response slots per connection; 0 = 2 * queue_capacity.
-    std::size_t max_pipeline = 0;
 
     /// Daemon-wide default for "options.listing" (the --listing flag).
     bool default_listing = false;
     ShardConfig shard;
 
-    /// Close a connection with no inbound traffic for this long; 0 = never
-    /// (the stdio daemon's behaviour). Closes log one stderr line and count
-    /// under "net.conn.idle_closed".
+    /// Close a connection with no inbound traffic for this long; 0 = never.
+    /// Closes log one stderr line and count under "net.conn.idle_closed".
     std::uint64_t idle_timeout_ms = 0;
     /// Shed a parked request (compile queue full) still unsubmitted after
     /// this long; 0 = park indefinitely. Shed responses are structured
@@ -92,8 +89,15 @@ class LineServer {
   LineServer& operator=(const LineServer&) = delete;
 
   /// Binds, listens and spawns the loop thread. False (with `error` set)
-  /// when the socket cannot be set up; the server is then inert.
+  /// when the socket cannot be set up or the loop already runs; the server
+  /// is then inert.
   [[nodiscard]] bool start(std::string* error = nullptr);
+
+  /// Serves an already-connected stream socket as one more connection and
+  /// takes ownership of `fd`. Spawns the loop without a listener when it is
+  /// not running yet (call start() first to also accept connections). False
+  /// (with `error` set, `fd` closed) when the loop cannot be set up.
+  [[nodiscard]] bool adopt(int fd, std::string* error = nullptr);
 
   /// Closes the listener, completes jobs already submitted, closes every
   /// connection and joins the loop thread. Idempotent.
@@ -101,8 +105,6 @@ class LineServer {
 
   /// Bound TCP port (after start(); 0 for Unix-socket servers).
   [[nodiscard]] std::uint16_t port() const { return bound_port_; }
-
-  [[nodiscard]] const Options& options() const { return options_; }
 
  private:
   struct Slot {
@@ -144,19 +146,32 @@ class LineServer {
     service::JobResult result;
   };
 
+  /// Creates the epoll set and the eventfd and spawns the loop thread.
+  [[nodiscard]] bool launch(std::string* error);
+  /// Failed set-up: reports `what` with errno, closes every descriptor.
+  bool setup_failed(std::string* error, const std::string& what);
   void run();
   void handle_accept();
+  void add_conn(int fd);
   void handle_readable(Conn& conn);
   void handle_writable(Conn& conn);
   void parse_lines(Conn& conn);
+  /// Answers one "request line too long" error and stops reading: a line
+  /// that cannot end within max_line has lost framing for good.
+  void reject_oversized(Conn& conn);
   void submit_or_park(Conn& conn, std::uint64_t serial,
                       service::CompileJob job);
+  /// Hands `job` to the service with a completion callback that routes the
+  /// result back to (conn_id, serial); false (job untouched) on a full queue.
+  [[nodiscard]] bool try_submit(std::uint64_t conn_id, std::uint64_t serial,
+                                service::CompileJob& job);
   void retry_parked();
   void drain_completions();
-  void flush_ready(Conn& conn);
+  /// Moves answered slots, in order, to the outbuf and writes it. With
+  /// `parse`, buffered lines are parsed as flushing frees pipeline slots.
+  void flush_ready(Conn& conn, bool parse = true);
   void update_interest(Conn& conn);
   void close_conn(std::uint64_t conn_id);
-  [[nodiscard]] std::size_t pipeline_limit() const;
 
   /// Fires due idle/parked timers (timer id = conn_id*2 for idle,
   /// conn_id*2+1 for parked-request timeouts).
@@ -192,10 +207,12 @@ class LineServer {
 
   /// Worker-thread side: completed jobs waiting for the loop, the count of
   /// callbacks still outstanding (stop() waits for them so a worker never
-  /// touches a destroyed server), and the stop flag the loop polls.
+  /// touches a destroyed server), and the stop flag the loop polls. Adopted
+  /// sockets wait here too until the loop registers them.
   std::mutex done_mu_;
   std::condition_variable done_cv_;
   std::deque<Done> done_;
+  std::vector<int> adopted_;
   std::size_t outstanding_ = 0;
   bool stopping_ = false;
 };

@@ -26,6 +26,24 @@ bool expired(std::chrono::steady_clock::time_point deadline) {
          std::chrono::steady_clock::now() >= deadline;
 }
 
+// Cached metric handles for the per-job path: name resolution takes the
+// registry mutex. Registry storage is process-lifetime, so the references
+// stay valid.
+struct ServiceCounters {
+  obs::Histogram& queue_ns = obs::metrics().histogram("service.queue_ns");
+  obs::Histogram& compile_ns = obs::metrics().histogram("service.compile_ns");
+  obs::Counter& jobs = obs::metrics().counter("service.jobs");
+  obs::Counter& failed = obs::metrics().counter("service.failed");
+  obs::Counter& deadline_exceeded =
+      obs::metrics().counter("service.deadline_exceeded");
+  obs::Counter& queue_full = obs::metrics().counter("service.queue_full");
+};
+
+ServiceCounters& service_counters() {
+  static ServiceCounters counters;
+  return counters;
+}
+
 }  // namespace
 
 CompileService::CompileService(Options options)
@@ -60,77 +78,61 @@ void CompileService::shutdown() {
     if (w.joinable()) w.join();
 }
 
-std::future<JobResult> CompileService::submit(CompileJob job) {
-  std::promise<JobResult> promise;
-  std::future<JobResult> future = promise.get_future();
-
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [&] {
-    return stopping_ || queue_.size() < options_.queue_capacity;
-  });
-  if (stopping_) {
-    lock.unlock();
-    JobResult rejected;
-    rejected.tag = std::move(job.tag);
-    rejected.error = "compile service is shut down";
-    promise.set_value(std::move(rejected));
-    return future;
-  }
-  ++stats_.submitted;
-  const auto deadline = deadline_of(job);
-  queue_.push_back(Pending{std::move(job), std::move(promise), {}, {}, deadline});
-  stats_.peak_queue = std::max(stats_.peak_queue, queue_.size());
-  lock.unlock();
-  not_empty_.notify_one();
-  return future;
+void CompileService::Pending::complete(JobResult result) {
+  if (callback)
+    callback(std::move(result));
+  else
+    promise.set_value(std::move(result));
 }
 
-void CompileService::submit_async(CompileJob job, Callback done) {
+bool CompileService::enqueue(Pending& pending, bool block,
+                             std::uint64_t* retry_after_ms) {
   std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [&] {
-    return stopping_ || queue_.size() < options_.queue_capacity;
-  });
-  if (stopping_) {
-    lock.unlock();
-    JobResult rejected;
-    rejected.tag = std::move(job.tag);
-    rejected.error = "compile service is shut down";
-    done(std::move(rejected));
-    return;
+  if (block) {
+    not_full_.wait(lock, [&] {
+      return stopping_ || queue_.size() < options_.queue_capacity;
+    });
   }
-  ++stats_.submitted;
-  const auto deadline = deadline_of(job);
-  queue_.push_back(Pending{std::move(job), {}, std::move(done), {}, deadline});
-  stats_.peak_queue = std::max(stats_.peak_queue, queue_.size());
-  lock.unlock();
-  not_empty_.notify_one();
-}
-
-bool CompileService::try_submit_async(CompileJob& job, Callback& done,
-                                      std::uint64_t* retry_after_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
   if (stopping_) {
     lock.unlock();
     JobResult rejected;
-    rejected.tag = std::move(job.tag);
+    rejected.tag = std::move(pending.job.tag);
     rejected.error = "compile service is shut down";
-    done(std::move(rejected));
+    pending.complete(std::move(rejected));
     return true;  // consumed: the rejection IS the completion
   }
   if (queue_.size() >= options_.queue_capacity) {
     const std::size_t depth = queue_.size();
     lock.unlock();
     if (retry_after_ms) *retry_after_ms = backoff_ms(depth);
-    obs::metrics().counter("service.queue_full").add(1);
+    service_counters().queue_full.add(1);
     return false;
   }
   ++stats_.submitted;
-  const auto deadline = deadline_of(job);
-  queue_.push_back(Pending{std::move(job), {}, std::move(done), {}, deadline});
+  // Queue wait and the deadline both start once the job is in the queue.
+  pending.enqueued.reset();
+  pending.deadline = deadline_of(pending.job);
+  queue_.push_back(std::move(pending));
   stats_.peak_queue = std::max(stats_.peak_queue, queue_.size());
   lock.unlock();
   not_empty_.notify_one();
   return true;
+}
+
+std::future<JobResult> CompileService::submit(CompileJob job) {
+  Pending pending{std::move(job), {}, {}, {}, {}};
+  std::future<JobResult> future = pending.promise.get_future();
+  enqueue(pending, /*block=*/true, nullptr);
+  return future;
+}
+
+bool CompileService::try_submit_async(CompileJob& job, Callback& done,
+                                      std::uint64_t* retry_after_ms) {
+  Pending pending{std::move(job), {}, std::move(done), {}, {}};
+  if (enqueue(pending, /*block=*/false, retry_after_ms)) return true;
+  job = std::move(pending.job);
+  done = std::move(pending.callback);
+  return false;
 }
 
 std::uint64_t CompileService::suggested_backoff_ms() const {
@@ -211,20 +213,20 @@ void CompileService::worker_loop() {
         result.retry_after_ms = suggested_backoff_ms();
     }
     result.times.queue_ms = queue_ms;
-    if (result.deadline_exceeded)
-      obs::metrics().counter("service.deadline_exceeded").add(1);
+    ServiceCounters& counters = service_counters();
+    if (result.deadline_exceeded) counters.deadline_exceeded.add(1);
 
     // Latency accumulation is wait-free (histogram atomics), so only the
     // plain counters ride the queue mutex.
-    queue_ns_.record(static_cast<std::int64_t>(queue_ms * 1e6));
-    compile_ns_.record(
-        static_cast<std::int64_t>(result.times.compile_ms * 1e6));
-    obs::metrics().histogram("service.queue_ns")
-        .record(static_cast<std::int64_t>(queue_ms * 1e6));
-    obs::metrics().histogram("service.compile_ns")
-        .record(static_cast<std::int64_t>(result.times.compile_ms * 1e6));
-    obs::metrics().counter("service.jobs").add(1);
-    if (!result.ok) obs::metrics().counter("service.failed").add(1);
+    const auto queue_ns = static_cast<std::int64_t>(queue_ms * 1e6);
+    const auto compile_ns =
+        static_cast<std::int64_t>(result.times.compile_ms * 1e6);
+    queue_ns_.record(queue_ns);
+    compile_ns_.record(compile_ns);
+    counters.queue_ns.record(queue_ns);
+    counters.compile_ns.record(compile_ns);
+    counters.jobs.add(1);
+    if (!result.ok) counters.failed.add(1);
     if (result.ok && !result.processor.empty())
       obs::metrics().counter("service.compiled." + result.processor).add(1);
 
@@ -238,10 +240,7 @@ void CompileService::worker_loop() {
     }
     lock.unlock();
 
-    if (pending.callback)
-      pending.callback(std::move(result));
-    else
-      pending.promise.set_value(std::move(result));
+    pending.complete(std::move(result));
   }
 }
 

@@ -159,22 +159,19 @@ class CompileService {
   /// failure.
   [[nodiscard]] std::future<JobResult> submit(CompileJob job);
 
-  /// Completion callback for the async submission paths; runs on the worker
-  /// thread that finished the job, so it must be cheap and non-blocking
-  /// (event-loop callers hand the result to their own wakeup mechanism).
+  /// Completion callback for try_submit_async; runs on the worker thread
+  /// that finished the job, so it must be cheap and non-blocking (event-loop
+  /// callers hand the result to their own wakeup mechanism).
   using Callback = std::function<void(JobResult)>;
 
-  /// Like submit(), but delivers the result through `done` instead of a
-  /// future. Blocks while the queue is at capacity; after shutdown() the
-  /// callback fires inline with a "service stopped" failure.
-  void submit_async(CompileJob job, Callback done);
-
-  /// Non-blocking submit_async: returns false — leaving `job` and `done`
-  /// untouched — when the queue is at capacity, so an event loop can park
-  /// the request and retry when a completion frees a slot. Backpressure
-  /// rejections are counted under "service.queue_full"; when `retry_after_ms`
-  /// is non-null a rejection fills it with the backoff hint
-  /// (suggested_backoff_ms) the caller should forward to its client.
+  /// Non-blocking submit that delivers the result through `done` instead of
+  /// a future: returns false — leaving `job` and `done` untouched — when the
+  /// queue is at capacity, so an event loop can park the request and retry
+  /// when a completion frees a slot. After shutdown() the callback fires
+  /// inline with a "service stopped" failure. Backpressure rejections are
+  /// counted under "service.queue_full"; when `retry_after_ms` is non-null a
+  /// rejection fills it with the backoff hint (suggested_backoff_ms) the
+  /// caller should forward to its client.
   [[nodiscard]] bool try_submit_async(CompileJob& job, Callback& done,
                                       std::uint64_t* retry_after_ms = nullptr);
 
@@ -193,16 +190,6 @@ class CompileService {
   /// clamped to [1, 1000] ms. Deterministic given the queue state, so load
   /// shedding under saturation is reproducible.
   [[nodiscard]] std::uint64_t suggested_backoff_ms() const;
-
-  /// Raw latency histograms backing the stats() summary (queue wait and
-  /// compile time, nanoseconds) — recordd's stats command serves their full
-  /// percentile spread from here.
-  [[nodiscard]] const obs::Histogram& queue_histogram() const {
-    return queue_ns_;
-  }
-  [[nodiscard]] const obs::Histogram& compile_histogram() const {
-    return compile_ns_;
-  }
 
   [[nodiscard]] TargetRegistry& registry() { return registry_; }
   [[nodiscard]] std::size_t worker_count() const {
@@ -235,7 +222,16 @@ class CompileService {
     util::Timer enqueued;
     /// Absolute deadline from CompileJob::deadline_ms; epoch = none.
     std::chrono::steady_clock::time_point deadline{};
+
+    /// Delivers the result through the callback, else the promise.
+    void complete(JobResult result);
   };
+
+  /// The one way into the queue. Waits for space when `block`; otherwise a
+  /// full queue returns false with `pending` untouched (and `retry_after_ms`
+  /// filled when non-null). After shutdown() `pending` completes at once
+  /// with a "service stopped" failure, which counts as accepted.
+  bool enqueue(Pending& pending, bool block, std::uint64_t* retry_after_ms);
 
   void worker_loop();
 

@@ -1,8 +1,7 @@
 // JSON-lines wire codec for the compile service: request -> CompileJob and
-// JobResult -> response. One implementation shared by every front end (the
-// stdio daemon loop in examples/recordd.cpp and the socket server in
-// src/net/) so a job compiled over a socket answers byte-identically to the
-// same job compiled over stdin.
+// JobResult -> response. The request path (net::LineServer, which also
+// serves recordd's stdio) and the in-process baselines that tests and
+// benchmarks compare it against share this one implementation.
 #pragma once
 
 #include <cstddef>

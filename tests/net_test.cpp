@@ -60,6 +60,20 @@ struct Client {
     return c;
   }
 
+  /// One end of a socketpair whose other end `server` adopts — the way
+  /// recordd serves stdio.
+  static Client adopted_by(net::LineServer& server) {
+    Client c;
+    int sv[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0)
+        << std::strerror(errno);
+    std::string error;
+    EXPECT_TRUE(server.adopt(sv[0], &error)) << error;
+    c.fd = sv[1];
+    c.set_timeout();
+    return c;
+  }
+
   static Client connect_unix(const std::string& path) {
     Client c;
     c.fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -160,9 +174,10 @@ TEST(LineServer, PipelinedClientsMatchSequentialBaseline) {
   ASSERT_TRUE(server.start(&error)) << error;
   ASSERT_GT(server.port(), 0);
 
-  // 4 clients, each pipelining its whole request batch up front (listings
-  // on, a control command mid-stream, a parse error, and compile errors).
-  constexpr int kClients = 4;
+  // 4 TCP clients plus one adopted socketpair (the stdio transport), each
+  // pipelining its whole request batch up front (listings on and compile
+  // errors).
+  constexpr int kClients = 5;
   constexpr int kPerClient = 6;
   std::vector<std::vector<std::string>> requests(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -193,11 +208,16 @@ TEST(LineServer, PipelinedClientsMatchSequentialBaseline) {
     }
   }
 
+  std::vector<Client> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c)
+    clients.push_back(c == kClients - 1 ? Client::adopted_by(server)
+                                        : Client::connect_tcp(server.port()));
   std::vector<std::vector<std::string>> got(kClients);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      Client client = Client::connect_tcp(server.port());
+      Client& client = clients[c];
       for (const std::string& line : requests[c]) client.send_line(line);
       for (int r = 0; r < kPerClient; ++r)
         got[c].push_back(normalize(client.read_line()));
@@ -211,6 +231,68 @@ TEST(LineServer, PipelinedClientsMatchSequentialBaseline) {
       EXPECT_EQ(got[c][r], expected[c][r]) << "client " << c << " response "
                                            << r;
   }
+  server.stop();
+}
+
+TEST(LineServer, AdoptedStdioConnectionAnswersInOrderThenCloses) {
+  // recordd's stdio contract, on a server with no listener: blank lines
+  // are skipped but counted in line numbers, non-objects are bad requests,
+  // a stats command counts the jobs answered above it, and a half-close
+  // flushes every answer in order before the server closes.
+  service::CompileService::Options opts;
+  opts.workers = 2;
+  service::CompileService svc(opts);
+  net::LineServer server(svc, net::LineServer::Options{});
+  Client client = Client::adopted_by(server);
+  EXPECT_EQ(server.port(), 0);
+
+  client.send_line(compile_request("a", "demo"));
+  client.send_line("");
+  client.send_line("[1,2]");
+  client.send_line(compile_request("b", "demo"));
+  client.send_line("{\"cmd\": \"stats\"}");
+  client.send_line(compile_request("c", "demo"));
+  ASSERT_EQ(::shutdown(client.fd, SHUT_WR), 0);
+
+  std::vector<std::optional<Json>> replies;
+  for (int r = 0; r < 5; ++r)
+    replies.push_back(Json::parse(client.read_line()));
+  for (const std::optional<Json>& reply : replies) ASSERT_TRUE(reply);
+  EXPECT_EQ((*replies[0])["tag"].as_string(), "a");
+  EXPECT_EQ((*replies[1])["error"].as_string(),
+            "line 3: bad request: not an object");
+  EXPECT_EQ((*replies[2])["tag"].as_string(), "b");
+  EXPECT_EQ((*replies[3])["cmd"].as_string(), "stats");
+  // "c" may finish first too; "a" and "b" must be counted.
+  EXPECT_GE((*replies[3])["service"]["completed"].as_int(-1), 2);
+  EXPECT_EQ((*replies[4])["tag"].as_string(), "c");
+  EXPECT_TRUE((*replies[4])["ok"].as_bool(false));
+  EXPECT_EQ(client.read_line(), "") << "connection stayed open after EOF";
+  server.stop();
+}
+
+TEST(LineServer, MoreBufferedLinesThanPipelineSlotsAreAllAnswered) {
+  // Past the 512 in-flight slots, lines wait in the input buffer. Answers
+  // that free slots must parse them even with no read event left: here all
+  // input, EOF included, is buffered before the first answer flushes.
+  service::CompileService::Options opts;
+  opts.workers = 1;
+  service::CompileService svc(opts);
+  net::LineServer server(svc, net::LineServer::Options{});
+  Client client = Client::adopted_by(server);
+  constexpr int kLines = 1200;
+  std::string burst;
+  for (int r = 0; r < kLines; ++r) burst += "[" + std::to_string(r) + "]\n";
+  ASSERT_EQ(::send(client.fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  ASSERT_EQ(::shutdown(client.fd, SHUT_WR), 0);
+  for (int r = 0; r < kLines; ++r) {
+    std::optional<Json> reply = Json::parse(client.read_line());
+    ASSERT_TRUE(reply) << "answer " << r << " lost";
+    EXPECT_EQ((*reply)["error"].as_string(),
+              "line " + std::to_string(r + 1) + ": bad request: not an object");
+  }
+  EXPECT_EQ(client.read_line(), "");
   server.stop();
 }
 
