@@ -20,13 +20,14 @@ std::size_t CompactedProgram::word_count() const {
 
 namespace {
 
-/// Required mode-register literals of a condition: variables `M:...` whose
+/// Required mode-register literals of a condition: mode variables whose
 /// phase is forced (cond implies var=b).
 std::vector<std::pair<int, bool>> required_modes(bdd::BddManager& mgr,
+                                                 const rtl::CondVars& vars,
                                                  bdd::Ref cond) {
   std::vector<std::pair<int, bool>> out;
   for (int v : mgr.support(cond)) {
-    if (mgr.var_name(v).rfind("M:", 0) != 0) continue;
+    if (vars.kind(v) != rtl::VarKind::Mode) continue;
     bool sat_pos = mgr.land(cond, mgr.var(v)) != bdd::kFalse;
     bool sat_neg = mgr.land(cond, mgr.nvar(v)) != bdd::kFalse;
     if (sat_pos && !sat_neg) out.emplace_back(v, true);
@@ -35,19 +36,12 @@ std::vector<std::pair<int, bool>> required_modes(bdd::BddManager& mgr,
   return out;
 }
 
-/// Parses "M:<inst>[k]" -> (inst, k).
-std::pair<std::string, int> parse_mode_var(const std::string& name) {
-  std::size_t lb = name.rfind('[');
-  std::string inst = name.substr(2, lb - 2);
-  int bit = std::stoi(name.substr(lb + 1, name.size() - lb - 2));
-  return {inst, bit};
-}
-
 class Compactor {
  public:
   Compactor(const select::SelectionResult& sel, const rtl::TemplateBase& base,
             const CompactOptions& options, util::DiagnosticSink& diags)
-      : sel_(sel), base_(base), options_(options), diags_(diags) {}
+      : sel_(sel), base_(base), vars_(base.vars()), options_(options),
+        diags_(diags) {}
 
   CompactResult run() {
     CompactResult result;
@@ -103,22 +97,23 @@ class Compactor {
     std::size_t remaining = n;
     int current = 0;
 
+    // Per-RT edge lists. Every edge points forward (from < to, see
+    // depdag.cpp), so index order is a topological order.
+    std::vector<std::vector<const DepEdge*>> succs(n), preds(n);
+    for (const DepEdge& e : region.edges) {
+      succs[e.from].push_back(&e);
+      preds[e.to].push_back(&e);
+    }
+
     // Critical-path heights: list-scheduling priority. Deeper chains go
     // first, which lets shallow RTs (e.g. a pending accumulate) pair with
     // later compatible RTs (e.g. the next multiply) — the MPYA/MACD fusion
-    // pattern.
+    // pattern. One reverse pass: successors are final before their sources.
     std::vector<int> height(n, 0);
-    for (std::size_t iter = 0; iter < n; ++iter) {
-      bool changed = false;
-      for (const DepEdge& e : region.edges) {
-        int h = height[e.to] + (e.latency > 0 ? 1 : 0);
-        if (h > height[e.from]) {
-          height[e.from] = h;
-          changed = true;
-        }
-      }
-      if (!changed) break;
-    }
+    for (std::size_t i = n; i-- > 0;)
+      for (const DepEdge* e : succs[i])
+        height[i] = std::max(height[i],
+                             height[e->to] + (e->latency > 0 ? 1 : 0));
     std::vector<std::size_t> priority(n);
     for (std::size_t i = 0; i < n; ++i) priority[i] = i;
     std::stable_sort(priority.begin(), priority.end(),
@@ -128,10 +123,9 @@ class Compactor {
 
     auto ready = [&](std::size_t i) {
       if (scheduled[i]) return false;
-      for (const DepEdge& e : region.edges) {
-        if (e.to != i) continue;
-        if (!scheduled[e.from]) return false;
-        if (cycle[e.from] + e.latency > current) return false;
+      for (const DepEdge* e : preds[i]) {
+        if (!scheduled[e->from]) return false;
+        if (cycle[e->from] + e->latency > current) return false;
       }
       return true;
     };
@@ -235,13 +229,8 @@ class Compactor {
 
     // Instances whose state the branch condition reads dynamically.
     std::set<std::string> cond_insts;
-    for (int v : mgr.support(branch.cond)) {
-      const std::string& n = mgr.var_name(v);
-      if (n.rfind("S:", 0) == 0 || n.rfind("M:", 0) == 0) {
-        std::string rest = n.substr(2);
-        cond_insts.insert(rest.substr(0, rest.find_first_of(".[")));
-      }
-    }
+    for (int v : mgr.support(branch.cond))
+      if (!vars_.info(v).inst.empty()) cond_insts.insert(vars_.info(v).inst);
     auto writes_sensitive = [&](const Word& x) {
       for (const select::SelectedRT* rt : x.rts)
         if (rt->dest == "PC" || cond_insts.count(rt->dest)) return true;
@@ -278,11 +267,11 @@ class Compactor {
     if (!options_.handle_modes) return;
     bdd::BddManager& mgr = *base_.mgr;
     std::map<std::string, std::map<int, bool>> needed;  // inst -> bit -> val
-    for (const auto& [var, val] : required_modes(mgr, w.cond)) {
+    for (const auto& [var, val] : required_modes(mgr, vars_, w.cond)) {
       auto it = mode_state_.find(var);
       if (it != mode_state_.end() && it->second == val) continue;
-      auto [inst, bit] = parse_mode_var(mgr.var_name(var));
-      needed[inst][bit] = val;
+      const rtl::VarInfo& mode = vars_.info(var);
+      needed[mode.inst][mode.bit] = val;
       mode_state_[var] = val;
     }
     for (auto& [inst, bits] : needed) {
@@ -295,18 +284,11 @@ class Compactor {
       const int width = s ? s->width : 0;
       for (int bit = 0; bit < width; ++bit) {
         if (bits.count(bit)) continue;
-        int var = mgr.find_var(fmt("M:{}[{}]", inst, bit));
+        int var = vars_.mode_var(inst, bit);
         auto it = var >= 0 ? mode_state_.find(var) : mode_state_.end();
-        bool val;
-        if (it != mode_state_.end()) {
-          val = it->second;
-        } else {
-          std::uint64_t reset = static_cast<std::uint64_t>(
-              sim::initial_value(inst, 0, width));
-          val = ((reset >> bit) & 1u) != 0;
-        }
-        bits[bit] = val;
-        if (var >= 0) mode_state_[var] = val;
+        bits[bit] =
+            it != mode_state_.end() ? it->second : *reset_bit(inst, bit);
+        if (var >= 0) mode_state_[var] = bits[bit];
       }
       const select::SelectedRT* set_rt = synthesize_mode_set(inst, bits,
                                                              result);
@@ -328,26 +310,28 @@ class Compactor {
     // simulators also use.
     bdd::Ref baked = w.cond;
     for (int v : mgr.support(w.cond)) {
-      const std::string& name = mgr.var_name(v);
-      if (name.rfind("M:", 0) != 0) continue;
-      auto it = mode_state_.find(v);
-      bool val;
-      if (it != mode_state_.end()) {
-        val = it->second;
-      } else {
-        auto [inst, bit] = parse_mode_var(name);
-        const rtl::StorageInfo* s = base_.find_storage(inst);
-        if (!s) continue;  // unknown mode register: leave the var free
-        std::uint64_t reset = static_cast<std::uint64_t>(
-            sim::initial_value(inst, 0, s->width));
-        val = ((reset >> bit) & 1u) != 0;
-        mode_state_[v] = val;
+      const rtl::VarInfo& mode = vars_.info(v);
+      if (mode.kind != rtl::VarKind::Mode) continue;
+      if (!mode_state_.count(v)) {
+        std::optional<bool> reset = reset_bit(mode.inst, mode.bit);
+        if (!reset) continue;  // unknown mode register: leave the var free
+        mode_state_[v] = *reset;
       }
-      baked = mgr.land(baked, mgr.literal(v, val));
+      baked = mgr.land(baked, mgr.literal(v, mode_state_[v]));
     }
     // kFalse here would mean a required mode could not be established (no
     // set template existed — already warned above); keep the raw condition.
     if (baked != bdd::kFalse) w.cond = baked;
+  }
+
+  /// Bit `bit` of mode register `inst` in the deterministic reset contents
+  /// both simulators use; nullopt for an unknown register.
+  std::optional<bool> reset_bit(const std::string& inst, int bit) const {
+    const rtl::StorageInfo* s = base_.find_storage(inst);
+    if (!s) return std::nullopt;
+    const auto reset =
+        static_cast<std::uint64_t>(sim::initial_value(inst, 0, s->width));
+    return ((reset >> bit) & 1u) != 0;
   }
 
   const select::SelectedRT* synthesize_mode_set(
@@ -369,12 +353,8 @@ class Compactor {
         b.field_bits = &t.value->imm_bits;
         b.value = value;
         rt->imms.push_back(b);
-        for (std::size_t j = 0; j < b.field_bits->size(); ++j) {
-          int var = mgr.find_var(fmt("I[{}]", (*b.field_bits)[j]));
-          if (var < 0) continue;
-          bool bit = ((static_cast<std::uint64_t>(value) >> j) & 1u) != 0;
-          rt->cond = mgr.land(rt->cond, mgr.literal(var, bit));
-        }
+        rt->cond = vars_.with_field(mgr, rt->cond, *b.field_bits,
+                                    static_cast<std::uint64_t>(value));
       } else if (t.value->kind == rtl::RTNode::Kind::HardConst) {
         if (t.value->value != value) continue;
       } else {
@@ -390,6 +370,7 @@ class Compactor {
 
   const select::SelectionResult& sel_;
   const rtl::TemplateBase& base_;
+  const rtl::CondVars& vars_;
   CompactOptions options_;
   util::DiagnosticSink& diags_;
   std::map<int, bool> mode_state_;

@@ -20,6 +20,8 @@
 
 namespace record::compact {
 
+/// Edges always point forward (from < to), so RT index order is a
+/// topological order of the region's DAG.
 struct DepEdge {
   std::size_t from = 0;
   std::size_t to = 0;

@@ -121,6 +121,7 @@ std::optional<RetargetResult> Record::retarget(
       result.processor = std::move(art->processor);
       result.tree_grammar = std::move(art->grammar);
       result.tables = std::move(art->tables);
+      art->base.seal();  // the blob carries names; the table is rebuilt
       result.base = std::make_shared<const rtl::TemplateBase>(
           std::move(art->base));
       result.extract_stats = art->extract_stats;
@@ -204,6 +205,7 @@ std::optional<RetargetResult> Record::retarget(
   result.tree_grammar = std::move(built.grammar);
   result.times.record("grammar", timer.seconds());
 
+  extraction.base.seal();
   result.base = std::make_shared<const rtl::TemplateBase>(
       std::move(extraction.base));
 

@@ -34,49 +34,16 @@ std::uint64_t EncodedWord::to_u64() const {
   return v;
 }
 
-namespace {
-
-/// "Could template fire?" conditions per storage, with data-dependent AND
-/// mode-register variables existentially quantified (pessimistic). Mode
-/// vars must go too: suppression is applied by constraining instruction
-/// bits, and a don't-care slot whose function comes from a mode register
-/// would otherwise be "suppressed" by any_sat choosing a fantasy mode the
-/// running machine is not in — the slot then fires at runtime and silently
-/// clobbers its destination. `any` is the OR over all writers of the
-/// storage; `each` keeps the per-template conditions so a word that writes
-/// a storage can still forbid the *other* writers of that storage
-/// (required on multi-issue machines, where a second slot's don't-care
-/// bits could otherwise be filled to write the same location — a
-/// decode-time write contention).
-struct StorageWriters {
-  bdd::Ref any = bdd::kFalse;
-  std::vector<std::pair<const rtl::RTTemplate*, bdd::Ref>> each;
-};
-
-std::map<std::string, StorageWriters> write_conditions(
-    const rtl::TemplateBase& base) {
-  bdd::BddManager& mgr = *base.mgr;
-  std::map<std::string, StorageWriters> out;
-  for (const rtl::RTTemplate& t : base.templates) {
-    bdd::Ref c = t.cond;
-    for (int v : mgr.support(c)) {
-      const std::string& n = mgr.var_name(v);
-      if (n.rfind("I[", 0) != 0) c = mgr.exists(c, v);
-    }
-    StorageWriters& sw = out[t.dest];
-    sw.any = mgr.lor(sw.any, c);
-    sw.each.emplace_back(&t, c);
-  }
-  return out;
-}
-
-}  // namespace
-
 EncodeResult encode(const compact::CompactedProgram& prog,
                     const rtl::TemplateBase& base,
                     util::DiagnosticSink& diags) {
   EncodeResult result;
+  if (!base.sealed()) {
+    diags.error({}, "cannot encode against an unsealed template base");
+    return result;
+  }
   bdd::BddManager& mgr = *base.mgr;
+  const rtl::CondVars& vars = base.vars();
   const int iw = base.instruction_width;
 
   // Pass 1: addresses.
@@ -85,9 +52,6 @@ EncodeResult encode(const compact::CompactedProgram& prog,
     if (!r.label.empty()) result.assembly.labels[r.label] = addr;
     addr += static_cast<int>(r.words.size());
   }
-
-  // Cache write conditions per storage.
-  std::map<std::string, StorageWriters> wconds = write_conditions(base);
 
   addr = 0;
   for (const compact::CompactedRegion& r : prog.regions) {
@@ -113,14 +77,8 @@ EncodeResult encode(const compact::CompactedProgram& prog,
           for (const select::SelectedRT* rt : w.rts) {
             if (!rt->is_branch || !rt->tmpl) continue;
             if (rt->tmpl->value->kind != rtl::RTNode::Kind::Imm) continue;
-            const std::vector<int>& field = rt->tmpl->value->imm_bits;
-            for (std::size_t j = 0; j < field.size(); ++j) {
-              int var = mgr.find_var(fmt("I[{}]", field[j]));
-              if (var < 0) continue;
-              bool bit =
-                  ((static_cast<std::uint64_t>(it->second) >> j) & 1u) != 0;
-              cond = mgr.land(cond, mgr.literal(var, bit));
-            }
+            cond = vars.with_field(mgr, cond, rt->tmpl->value->imm_bits,
+                                   static_cast<std::uint64_t>(it->second));
           }
         }
       }
@@ -135,7 +93,7 @@ EncodeResult encode(const compact::CompactedProgram& prog,
         written.push_back(rt->dest);
         if (rt->tmpl) own.insert(rt->tmpl);
       }
-      for (const auto& [storage, wc] : wconds) {
+      for (const auto& [storage, wc] : base.writers()) {
         bool is_written = false;
         for (const std::string& d : written)
           if (d == storage) is_written = true;
@@ -150,7 +108,7 @@ EncodeResult encode(const compact::CompactedProgram& prog,
           continue;
         }
         for (const auto& [tmpl, qc] : wc.each) {
-          if (own.count(tmpl)) continue;
+          if (own.count(&base.templates[tmpl])) continue;
           bdd::Ref guarded = mgr.land(cond, mgr.lnot(qc));
           if (guarded != bdd::kFalse) {
             cond = guarded;
@@ -170,11 +128,9 @@ EncodeResult encode(const compact::CompactedProgram& prog,
       ew.bits.assign(static_cast<std::size_t>(iw), false);
       if (auto sat = mgr.any_sat(cond)) {
         for (const auto& [var, val] : *sat) {
-          const std::string& n = mgr.var_name(var);
-          if (n.rfind("I[", 0) == 0) {
-            int k = std::stoi(n.substr(2, n.size() - 3));
-            if (k >= 0 && k < iw) ew.bits[static_cast<std::size_t>(k)] = val;
-          }
+          const rtl::VarInfo& v = vars.info(var);
+          if (v.kind == rtl::VarKind::Instr && v.bit < iw)
+            ew.bits[static_cast<std::size_t>(v.bit)] = val;
         }
       }
       result.assembly.words.push_back(std::move(ew));

@@ -10,6 +10,9 @@
 //      completion" of the partial instruction),
 //   3. extracts one satisfying assignment of the instruction bits; unused
 //      bits default to 0.
+// The per-storage writer conditions and the variable table are
+// target-invariant: rtl::TemplateBase::seal() computes them once per
+// target, and encoding an unsealed base is reported as an error.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "ise/control.h"
 
+#include "rtl/condvars.h"
 #include "util/strings.h"
 
 namespace record::ise {
@@ -18,20 +19,7 @@ ControlAnalyzer::ControlAnalyzer(const netlist::Netlist& nl,
     : nl_(nl), mgr_(mgr), diags_(diags) {
   first_instr_var_ = mgr_.var_count();
   for (int k = 0; k < nl_.instruction_width(); ++k)
-    (void)mgr_.new_var(fmt("I[{}]", k));
-}
-
-bool ControlAnalyzer::is_instruction_var(int v) const {
-  return v >= first_instr_var_ &&
-         v < first_instr_var_ + nl_.instruction_width();
-}
-
-bool ControlAnalyzer::is_mode_var(int v) const {
-  return mgr_.var_name(v).rfind("M:", 0) == 0;
-}
-
-bool ControlAnalyzer::is_dynamic_var(int v) const {
-  return !is_instruction_var(v) && !is_mode_var(v);
+    (void)mgr_.new_var(rtl::instr_var_name(k));
 }
 
 int ControlAnalyzer::instruction_var(int k) const {
@@ -44,7 +32,7 @@ bdd::BitVec ControlAnalyzer::dynamic_bits(const std::string& tag, int width) {
   std::vector<bdd::Ref> bits(static_cast<std::size_t>(width));
   for (int i = 0; i < width; ++i)
     bits[static_cast<std::size_t>(i)] =
-        mgr_.var(mgr_.new_var(fmt("{}[{}]", tag, i)));
+        mgr_.var(mgr_.new_var(rtl::bit_var_name(tag, i)));
   bdd::BitVec vec(std::move(bits));
   dynamic_memo_.emplace(tag, vec);
   return vec;
@@ -71,7 +59,7 @@ bdd::BitVec ControlAnalyzer::out_port_bits(InstanceId inst,
       diags_.warning({}, fmt("combinational cycle through '{}'; treating as "
                              "dynamic signal",
                              key));
-    return dynamic_bits("S:cyc:" + key, width);
+    return dynamic_bits(rtl::dynamic_tag("cyc:" + key), width);
   }
 
   bdd::BitVec result;
@@ -84,13 +72,13 @@ bdd::BitVec ControlAnalyzer::out_port_bits(InstanceId inst,
       break;
     }
     case ModuleKind::ModeReg:
-      result = dynamic_bits("M:" + in.name, width);
+      result = dynamic_bits(rtl::mode_tag(in.name), width);
       break;
     case ModuleKind::Register:
     case ModuleKind::Memory:
       // Data storage read as a control signal: data-dependent (e.g. status
       // flags feeding conditional-branch control).
-      result = dynamic_bits("S:" + key, width);
+      result = dynamic_bits(rtl::dynamic_tag(key), width);
       break;
     case ModuleKind::Combinational: {
       in_progress_.insert(key);
@@ -130,15 +118,18 @@ bdd::BitVec ControlAnalyzer::expr_bits(InstanceId inst, const Expr& e,
                                    width_hint);
     case Expr::Kind::PortRef: {
       const hdl::PortDecl* p = in.decl->find_port(e.name);
-      if (!p) return dynamic_bits("S:bad:" + in.name + "." + e.name, width_hint);
+      if (!p)
+        return dynamic_bits(rtl::dynamic_tag("bad:" + in.name + "." + e.name),
+                            width_hint);
       if (p->cls == PortClass::Out) return out_port_bits(inst, e.name);
       return in_port_bits(inst, e.name);
     }
     case Expr::Kind::Slice: {
       bdd::BitVec inner = expr_bits(inst, *e.args[0], e.slice.msb + 1);
       if (e.slice.msb >= inner.width())
-        return dynamic_bits(fmt("S:slice:{}.{}", in.name, opaque_counter_++),
-                            e.slice.width());
+        return dynamic_bits(
+            rtl::dynamic_tag(fmt("slice:{}.{}", in.name, opaque_counter_++)),
+            e.slice.width());
       return inner.slice(e.slice.msb, e.slice.lsb);
     }
     case Expr::Kind::CellRead:
@@ -148,8 +139,9 @@ bdd::BitVec ControlAnalyzer::expr_bits(InstanceId inst, const Expr& e,
       // Arithmetic inside control paths is opaque: its bits are fresh
       // unknowns. (Decoders are expected to use case-style guarded constant
       // assignments, which stay fully symbolic.)
-      return dynamic_bits(fmt("S:opaque:{}.{}", in.name, opaque_counter_++),
-                          width_hint);
+      return dynamic_bits(
+          rtl::dynamic_tag(fmt("opaque:{}.{}", in.name, opaque_counter_++)),
+          width_hint);
   }
   return bdd::BitVec::constant(0, width_hint);
 }
@@ -164,7 +156,7 @@ bdd::BitVec ControlAnalyzer::in_port_bits(InstanceId inst,
     std::string key = in.name + "." + std::string(port);
     if (warned_.insert("undriven:" + key).second)
       diags_.warning({}, fmt("control port '{}' is undriven", key));
-    return dynamic_bits("U:" + key, width);
+    return dynamic_bits(rtl::dynamic_tag("undriven:" + key), width);
   }
   bdd::BitVec bits = source_bits(d->source, width);
   return apply_slice(bits, d->source.has_slice, d->source.slice);
@@ -180,7 +172,7 @@ bdd::BitVec ControlAnalyzer::source_bits(const NetSource& src,
     case NetSource::Kind::ProcPort: {
       const hdl::ProcPortDecl* p = nl_.model().find_proc_port(src.port);
       int w = p ? p->range.width() : width_hint;
-      return dynamic_bits("S:@" + src.port, w);
+      return dynamic_bits(rtl::dynamic_tag("@" + src.port), w);
     }
     case NetSource::Kind::InstancePort:
       return out_port_bits(src.inst, src.port);

@@ -4,13 +4,12 @@
 // wires, buses and random-logic decoder modules — to the primary control
 // sources: the instruction word and mode registers. Signals are represented
 // bit-wise as BDDs (bdd::BitVec), so arbitrary decoder logic composes
-// symbolically. Guard conditions ("f = 2") then become BDDs over:
-//
-//   I[k]          instruction-word bit k
-//   M:<inst>[k]   bit k of mode register <inst>
-//   S:...[k]      dynamic (data-dependent) bits: register contents, memory
-//                 outputs, primary inputs, opaque arithmetic — free variables
-//                 that make e.g. condition-code-dependent branches expressible
+// symbolically. Guard conditions ("f = 2") then become BDDs over
+// instruction-word bits I[k], mode-register bits M:<inst>[k] and dynamic
+// (data-dependent) bits S:...[k] — free variables that make e.g.
+// condition-code-dependent branches expressible. rtl/condvars.h owns the
+// naming scheme: this analyzer only calls its builders, and every later
+// stage reads the per-target table it classifies the names into.
 //
 // Unsatisfiable template conditions (encoding conflicts, bus contention) are
 // pruned by the extractor using these BDDs.
@@ -49,11 +48,6 @@ class ControlAnalyzer {
   /// BDD of a structural guard (bus-driver WHEN clause; references are
   /// `instance.port`).
   [[nodiscard]] bdd::Ref structural_guard_bdd(const hdl::Cond& guard);
-
-  /// Variable classification (by the naming scheme above).
-  [[nodiscard]] bool is_instruction_var(int v) const;
-  [[nodiscard]] bool is_mode_var(int v) const;
-  [[nodiscard]] bool is_dynamic_var(int v) const;
 
   /// Index of the BDD variable for instruction-word bit k.
   [[nodiscard]] int instruction_var(int k) const;

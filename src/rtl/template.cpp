@@ -213,6 +213,7 @@ bool TemplateBase::add_unique(RTTemplate t) {
   // encodings. This keeps per-storage write conditions complete (needed for
   // side-effect suppression during binary encoding) and gives compaction
   // the full encoding freedom.
+  sealed_ = false;
   auto [it, inserted] =
       signature_index_.emplace(t.signature(), templates.size());
   if (!inserted) {
@@ -223,6 +224,18 @@ bool TemplateBase::add_unique(RTTemplate t) {
   t.id = static_cast<int>(templates.size());
   templates.push_back(std::move(t));
   return true;
+}
+
+void TemplateBase::seal() {
+  vars_ = CondVars(*mgr);
+  writers_.clear();
+  for (std::size_t i = 0; i < templates.size(); ++i) {
+    bdd::Ref c = vars_.project_to_instr(*mgr, templates[i].cond);
+    StorageWriters& sw = writers_[templates[i].dest];
+    sw.any = mgr->lor(sw.any, c);
+    sw.each.emplace_back(i, c);
+  }
+  sealed_ = true;
 }
 
 }  // namespace record::rtl

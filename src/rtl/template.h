@@ -8,13 +8,16 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "bdd/bdd.h"
 #include "hdl/ast.h"
+#include "rtl/condvars.h"
 
 namespace record::rtl {
 
@@ -118,6 +121,17 @@ struct PortInInfo {
   int width = 0;
 };
 
+/// Writers of one storage, conditions projected onto the instruction bits
+/// (CondVars::project_to_instr). Mode bits go too: otherwise the encoder's
+/// any_sat could "suppress" a writer under a mode the machine is not in.
+/// `any` ORs all writers; `each` keeps (template index, condition) in
+/// template order, so a word that writes the storage can still forbid its
+/// other writers (a decode-time write contention on multi-issue machines).
+struct StorageWriters {
+  bdd::Ref any = bdd::kFalse;
+  std::vector<std::pair<std::size_t, bdd::Ref>> each;
+};
+
 /// The RT template base: everything grammar construction needs.
 /// Owns the BDD manager that all template conditions live in.
 ///
@@ -125,7 +139,8 @@ struct PortInInfo {
 /// concurrent compile jobs. The owned BddManager is internally synchronised
 /// (see bdd/bdd.h), so condition manipulation from several threads is safe;
 /// mutating the base itself (add_unique, editing templates) is not and must
-/// stay confined to the single-threaded retargeting pipeline.
+/// stay confined to the single-threaded retargeting pipeline, which ends by
+/// calling seal() before the base is shared.
 struct TemplateBase {
   std::shared_ptr<bdd::BddManager> mgr;
   std::vector<RTTemplate> templates;
@@ -145,8 +160,28 @@ struct TemplateBase {
   /// returned.
   bool add_unique(RTTemplate t);
 
+  /// Computes the target-invariant facts compile jobs read, once the base
+  /// and its manager's variables are complete; add_unique unseals. Reading
+  /// them from an unsealed base throws std::logic_error.
+  void seal();
+  [[nodiscard]] bool sealed() const { return sealed_; }
+  [[nodiscard]] const CondVars& vars() const { return checked(vars_); }
+  /// Per storage, in storage-name order.
+  [[nodiscard]] const std::map<std::string, StorageWriters>& writers() const {
+    return checked(writers_);
+  }
+
  private:
+  template <class Fact>
+  const Fact& checked(const Fact& fact) const {
+    if (!sealed_) throw std::logic_error("template base read before seal()");
+    return fact;
+  }
+
   std::unordered_map<std::string, std::size_t> signature_index_;
+  bool sealed_ = false;
+  CondVars vars_;
+  std::map<std::string, StorageWriters> writers_;
 };
 
 }  // namespace record::rtl

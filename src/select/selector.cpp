@@ -143,26 +143,11 @@ const std::vector<int>& CodeSelector::read_ordinals_of_rule(int rule_id) {
   return *read_ordinals_cache_[static_cast<std::size_t>(rule_id)];
 }
 
-int CodeSelector::imm_var(int pos) {
-  if (imm_var_cache_.size() <= static_cast<std::size_t>(pos))
-    imm_var_cache_.resize(static_cast<std::size_t>(pos) + 1, -2);
-  int& slot = imm_var_cache_[static_cast<std::size_t>(pos)];
-  if (slot == -2) slot = base_.mgr->find_var(fmt("I[{}]", pos));
-  return slot;
-}
-
 bdd::Ref CodeSelector::imm_constraint(
     const std::vector<treeparse::ImmBinding>& imms, bdd::Ref cond) {
-  bdd::BddManager& mgr = *base_.mgr;
-  for (const treeparse::ImmBinding& b : imms) {
-    const std::vector<int>& bits = *b.field_bits;
-    for (std::size_t j = 0; j < bits.size(); ++j) {
-      int var = imm_var(bits[j]);
-      if (var < 0) continue;
-      bool bit = ((static_cast<std::uint64_t>(b.value) >> j) & 1u) != 0;
-      cond = mgr.land(cond, mgr.literal(var, bit));
-    }
-  }
+  for (const treeparse::ImmBinding& b : imms)
+    cond = base_.vars().with_field(*base_.mgr, cond, *b.field_bits,
+                                   static_cast<std::uint64_t>(b.value));
   return cond;
 }
 
@@ -333,10 +318,8 @@ std::optional<SelectedRT> CodeSelector::make_branch(const ir::Stmt& stmt,
       continue;
     if (t.value->kind != rtl::RTNode::Kind::Imm) continue;
     bool dynamic = false;
-    for (int v : mgr.support(t.cond)) {
-      const std::string& n = mgr.var_name(v);
-      if (n.rfind("I[", 0) != 0 && n.rfind("M:", 0) != 0) dynamic = true;
-    }
+    for (int v : mgr.support(t.cond))
+      if (base_.vars().kind(v) == rtl::VarKind::Dynamic) dynamic = true;
     if (dynamic) {
       if (!conditional) conditional = &t;
     } else {

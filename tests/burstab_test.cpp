@@ -24,6 +24,7 @@
 #include "core/record.h"
 #include "ir/builder.h"
 #include "models/models.h"
+#include "models/workload.h"
 #include "obs/metrics.h"
 #include "select/selector.h"
 #include "treeparse/burs.h"
@@ -699,6 +700,26 @@ TEST(BurstabCache, WarmLoadServesIdenticalTarget) {
   select::CodeSelector sw(*warm->base, warm->tree_grammar, dw,
                           warm->tables.get());
   EXPECT_EQ(sc.select(prog)->listing(), sw.select(prog)->listing());
+
+  // The whole pipeline through the warm target encodes the same words: the
+  // cache hit seals its base (variable table, writer conditions) exactly as
+  // the cold path does, so compaction and encoding accept it.
+  EXPECT_TRUE(warm->base->sealed());
+  ir::Program chain = models::chain_program(models::kChainShapes[2], 8);
+  ASSERT_STREQ(models::kChainShapes[2].model, "manocpu");
+  for (const ir::Program* p : {&prog, &chain}) {
+    std::vector<std::string> words[2];
+    for (int i = 0; i < 2; ++i) {
+      util::DiagnosticSink d;
+      auto r = core::Compiler(i == 0 ? *cold : *warm)
+                   .compile(*p, core::CompileOptions{}, d);
+      ASSERT_TRUE(r) << d.str();
+      for (const emit::EncodedWord& w : r->encoded.assembly.words)
+        words[i].push_back(w.hex());
+    }
+    EXPECT_FALSE(words[0].empty());
+    EXPECT_EQ(words[0], words[1]);
+  }
 
   // Options that shape the artifacts key separately.
   core::RetargetOptions other = options;

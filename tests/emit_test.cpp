@@ -101,6 +101,27 @@ TEST(Encode, HexRendering) {
   EXPECT_EQ(w.to_u64(), 0x55u);
 }
 
+TEST(Encode, UnsealedBaseIsAnError) {
+  rtl::TemplateBase base;
+  base.mgr = std::make_shared<bdd::BddManager>();
+  base.instruction_width = 4;
+  compact::CompactedProgram prog;
+  prog.regions.emplace_back();
+  prog.regions.back().words.emplace_back();  // one NOP word
+
+  util::DiagnosticSink diags;
+  EncodeResult r = encode(prog, base, diags);
+  EXPECT_FALSE(diags.ok());
+  EXPECT_TRUE(r.assembly.words.empty());
+
+  base.seal();
+  util::DiagnosticSink sealed;
+  r = encode(prog, base, sealed);
+  EXPECT_TRUE(sealed.ok()) << sealed.str();
+  ASSERT_EQ(r.assembly.size(), 1u);
+  EXPECT_EQ(r.assembly.words[0].hex(), "0");
+}
+
 TEST(Asmout, ListingShowsAddressesAndComments) {
   ir::ProgramBuilder b("t");
   b.cell("a", "ram", 1).cell("c", "ram", 3);

@@ -7,6 +7,7 @@
 #include "ise/control.h"
 #include "ise/extract.h"
 #include "netlist/netlist.h"
+#include "rtl/condvars.h"
 
 namespace record::ise {
 namespace {
@@ -97,7 +98,7 @@ TEST(ControlAnalysis, InstructionBitsAreVariables) {
   bdd::BitVec w = ctrl.out_port_bits(nl.controller(), "w");
   EXPECT_EQ(w.width(), 16);
   EXPECT_EQ(w.bit(3), mgr.var(ctrl.instruction_var(3)));
-  EXPECT_TRUE(ctrl.is_instruction_var(ctrl.instruction_var(0)));
+  EXPECT_EQ(rtl::CondVars(mgr).instr_var(0), ctrl.instruction_var(0));
 }
 
 TEST(ControlAnalysis, GuardBecomesInstructionBitCondition) {
@@ -123,7 +124,8 @@ TEST(ControlAnalysis, RegisterOutputIsDynamic) {
   bdd::BitVec q = ctrl.out_port_bits(nl.find_instance("A"), "q");
   ASSERT_EQ(q.width(), 8);
   int v = mgr.top_var(q.bit(0));
-  EXPECT_TRUE(ctrl.is_dynamic_var(v));
+  EXPECT_EQ(rtl::CondVars(mgr).kind(v), rtl::VarKind::Dynamic);
+  EXPECT_EQ(rtl::CondVars(mgr).info(v).inst, "A");
 }
 
 TEST(Extraction, FindsAluTemplatesForAllFunctions) {

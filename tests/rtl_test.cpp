@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "rtl/condvars.h"
 #include "rtl/extend.h"
 #include "rtl/rewrite.h"
 #include "rtl/template.h"
@@ -92,6 +93,100 @@ TEST(TemplateBase, AddUniqueDeduplicates) {
   EXPECT_EQ(base.size(), 2u);
   EXPECT_EQ(base.templates[0].id, 0);
   EXPECT_EQ(base.templates[1].id, 1);
+}
+
+TEST(CondVars, ClassifiesEveryNameFormTheControlAnalyzerEmits) {
+  struct Case {
+    std::string name;
+    const char* spelled;
+    VarKind kind;
+    int bit;
+    const char* inst;
+  };
+  const Case cases[] = {
+      {instr_var_name(7), "I[7]", VarKind::Instr, 7, ""},
+      {bit_var_name(mode_tag("MR"), 1), "M:MR[1]", VarKind::Mode, 1, "MR"},
+      {bit_var_name(dynamic_tag("@cc"), 0), "S:@cc[0]", VarKind::Dynamic, 0,
+       "@cc"},
+      {bit_var_name(dynamic_tag("ST.q"), 12), "S:ST.q[12]",
+       VarKind::Dynamic, 12, "ST"},
+      {bit_var_name(dynamic_tag("cyc:dec.f"), 0), "S:cyc:dec.f[0]",
+       VarKind::Dynamic, 0, "cyc:dec"},
+      {bit_var_name(dynamic_tag("bad:dec.x"), 1), "S:bad:dec.x[1]",
+       VarKind::Dynamic, 1, "bad:dec"},
+      {bit_var_name(dynamic_tag("slice:dec.0"), 2), "S:slice:dec.0[2]",
+       VarKind::Dynamic, 2, "slice:dec"},
+      {bit_var_name(dynamic_tag("opaque:alu.3"), 0),
+       "S:opaque:alu.3[0]", VarKind::Dynamic, 0, "opaque:alu"},
+      {bit_var_name(dynamic_tag("undriven:alu.op"), 2),
+       "S:undriven:alu.op[2]", VarKind::Dynamic, 2, "undriven:alu"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.name, c.spelled);
+    VarInfo v = classify_var(c.name);
+    EXPECT_EQ(v.kind, c.kind) << c.name;
+    EXPECT_EQ(v.bit, c.bit) << c.name;
+    EXPECT_EQ(v.inst, c.inst) << c.name;
+  }
+  // A malformed suffix never reads as an instruction or mode bit.
+  for (const char* bad : {"I[x]", "I[]", "I[3", "I3]", "I[-1]",
+                          "I[12345678901]", "M:MR", "M:MR[b]", "M:[2]", "J[1]"})
+    EXPECT_EQ(classify_var(bad).kind, VarKind::Dynamic) << bad;
+}
+
+TEST(CondVars, TableResolvesBitsAndProjectsOntoInstructionBits) {
+  bdd::BddManager mgr;
+  const int i0 = mgr.new_var(instr_var_name(0));
+  const int m1 = mgr.new_var(bit_var_name(mode_tag("MR"), 1));
+  const int s0 = mgr.new_var(bit_var_name(dynamic_tag("ST.q"), 0));
+  const int i2 = mgr.new_var(instr_var_name(2));
+  (void)mgr.new_var(instr_var_name(0));  // a duplicate: first one wins
+  CondVars vars(mgr);
+  EXPECT_EQ(vars.instr_var(0), i0);
+  EXPECT_EQ(vars.instr_var(2), i2);
+  EXPECT_EQ(vars.instr_var(1), -1);
+  EXPECT_EQ(vars.instr_var(9), -1);
+  EXPECT_EQ(vars.mode_var("MR", 1), m1);
+  EXPECT_EQ(vars.mode_var("MR", 0), -1);
+  EXPECT_EQ(vars.mode_var("ST", 0), -1);
+  EXPECT_EQ(vars.kind(s0), VarKind::Dynamic);
+  bdd::Ref c = mgr.land(mgr.land(mgr.var(i0), mgr.nvar(m1)),
+                        mgr.land(mgr.var(s0), mgr.nvar(i2)));
+  EXPECT_EQ(vars.project_to_instr(mgr, c),
+            mgr.land(mgr.var(i0), mgr.nvar(i2)));
+}
+
+TEST(TemplateBase, SealComputesWriterConditionsOnce) {
+  TemplateBase base;
+  base.mgr = std::make_shared<bdd::BddManager>();
+  bdd::BddManager& mgr = *base.mgr;
+  const int i0 = mgr.new_var(instr_var_name(0));
+  const int m0 = mgr.new_var(bit_var_name(mode_tag("MR"), 0));
+  RTTemplate a = make_template(add(reg("A"), reg("B")), "B");
+  a.cond = mgr.land(mgr.var(i0), mgr.var(m0));
+  RTTemplate b = make_template(reg("A"), "A");
+  b.cond = mgr.nvar(i0);
+  RTTemplate c = make_template(reg("B"), "B");
+  c.cond = mgr.nvar(i0);
+  ASSERT_TRUE(base.add_unique(std::move(a)));
+  ASSERT_TRUE(base.add_unique(std::move(b)));
+  ASSERT_TRUE(base.add_unique(std::move(c)));
+  EXPECT_FALSE(base.sealed());
+  EXPECT_THROW((void)base.writers(), std::logic_error);
+
+  base.seal();
+  ASSERT_TRUE(base.sealed());
+  const auto& w = base.writers();
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_EQ(w.begin()->first, "A");  // storage-name order
+  const StorageWriters& wb = w.at("B");
+  EXPECT_EQ(wb.any, bdd::kTrue);  // I[0] (mode quantified) or not I[0]
+  ASSERT_EQ(wb.each.size(), 2u);  // template order
+  EXPECT_EQ(wb.each[0], std::make_pair(std::size_t{0}, mgr.var(i0)));
+  EXPECT_EQ(wb.each[1], std::make_pair(std::size_t{2}, mgr.nvar(i0)));
+
+  (void)base.add_unique(make_template(reg("B"), "A"));
+  EXPECT_FALSE(base.sealed());
 }
 
 TEST(Extend, CommutativityAddsSwappedVariant) {

@@ -8,6 +8,7 @@
 #include "compact/depdag.h"
 #include "core/compiler.h"
 #include "core/record.h"
+#include "dspstone/kernels.h"
 #include "ir/builder.h"
 #include "sched/order.h"
 #include "sched/spill.h"
@@ -194,6 +195,23 @@ TEST(DepDag, RawEdgesHaveLatencyOne) {
   for (const compact::DepEdge& e : r.edges)
     if (e.from == 0 && e.to == 1 && e.latency == 1) lt_to_mpy = true;
   EXPECT_TRUE(lt_to_mpy);
+}
+
+TEST(DepDag, EveryEdgePointsForward) {
+  // The compactor's one-pass heights and per-RT readiness rely on index
+  // order being a topological order.
+  std::vector<ir::Program> progs;
+  for (const std::string& k : dspstone::kernel_names())
+    progs.push_back(dspstone::kernel(k));
+  progs.push_back(mac_program());
+  std::size_t edges = 0;
+  for (const ir::Program& p : progs)
+    for (const compact::Region& r : compact::build_regions(select_program(p)))
+      for (const compact::DepEdge& e : r.edges) {
+        EXPECT_LT(e.from, e.to) << p.name();
+        ++edges;
+      }
+  EXPECT_GT(edges, 0u);
 }
 
 TEST(Compact, MacPairsFuseIntoMpya) {

@@ -19,7 +19,11 @@
 // statistic is machine-normalised: per model, the median over reps of the
 // tables-frozen / interpreter time ratio, each rep timing both engines back
 // to back (CPU speed divides out of every ratio, and the median drops the
-// reps a noise burst hit). The same ratio for the label stage alone, the
+// reps a noise burst hit). The same ratio for the label stage alone is
+// gated at the same tolerance: labelling is ~15-25% of selection time, so a
+// table that stopped answering lookups barely moves the selection ratio but
+// shows in the label one. A model the baseline lacks, or a baseline row
+// without both ratios, fails the gate (regenerate the baseline). The
 // absolute ns/node and jobs/sec are recorded for the trajectory but not
 // gated.
 //
@@ -213,7 +217,7 @@ double label_ratio(const core::RetargetResult& target, const ir::Program& prog,
 }
 
 /// Medians over reps of the tables-frozen / interpreter time ratio of one
-/// model. Only `select` is gated; `label` is reported.
+/// model; both are gated.
 struct GateRow {
   std::string model;
   double select = 0;  // whole selection
@@ -550,10 +554,11 @@ int main(int argc, char** argv) {
                    baseline_path.c_str());
       return 1;
     }
-    // Gate the median same-run frozen/interpreter ratio per model: both
-    // engines are timed back to back in every rep, so the ratio is stable
-    // across machines; comparing absolute timings against a baseline from
-    // different hardware would gate on the runner, not the code.
+    // Gate the median same-run frozen/interpreter ratios per model (whole
+    // selection and label stage): both engines are timed back to back in
+    // every rep, so the ratios are stable across machines; comparing
+    // absolute timings against a baseline from different hardware would
+    // gate on the runner, not the code.
     const service::Json& bgate = (*base)["gate"];
     if (bgate.size() == 0) {
       std::fprintf(stderr, "baseline %s has no gate rows; regenerate it\n",
@@ -564,23 +569,33 @@ int main(int argc, char** argv) {
       double before = -1, label_before = -1;
       for (std::size_t i = 0; i < bgate.size(); ++i)
         if (bgate.at(i)["model"].as_string() == g.model) {
-          before = bgate.at(i)["frozen_over_interpreter_median"].as_number();
-          label_before =
-              bgate.at(i)["label_frozen_over_interpreter_median"].as_number();
+          before =
+              bgate.at(i)["frozen_over_interpreter_median"].as_number(-1);
+          label_before = bgate.at(i)["label_frozen_over_interpreter_median"]
+                             .as_number(-1);
         }
-      if (before <= 0) continue;
-      std::printf("gate %-11s %.3f -> %.3f (%+.0f%%); label %.3f -> %.3f "
-                  "(not gated)\n",
-                  g.model.c_str(), before, g.select,
-                  (g.select / before - 1) * 100, label_before, g.label);
-      if (g.select > before * kRegressionTolerance) {
+      if (before <= 0 || label_before <= 0) {
         std::fprintf(stderr,
-                     "REGRESSION %s: tables-frozen/interpreter median ratio "
-                     "%.3f -> %.3f (+%.0f%%)\n",
-                     g.model.c_str(), before, g.select,
-                     (g.select / before - 1) * 100);
-        ++regressions;
+                     "baseline %s has no select and label ratios for %s; "
+                     "regenerate it\n",
+                     baseline_path.c_str(), g.model.c_str());
+        return 1;
       }
+      std::printf("gate %-11s %.3f -> %.3f (%+.0f%%); label %.3f -> %.3f "
+                  "(%+.0f%%)\n",
+                  g.model.c_str(), before, g.select,
+                  (g.select / before - 1) * 100, label_before, g.label,
+                  (g.label / label_before - 1) * 100);
+      auto check = [&](const char* stage, double was, double now) {
+        if (now <= was * kRegressionTolerance) return;
+        std::fprintf(stderr,
+                     "REGRESSION %s: %stables-frozen/interpreter median "
+                     "ratio %.3f -> %.3f (+%.0f%%)\n",
+                     g.model.c_str(), stage, was, now, (now / was - 1) * 100);
+        ++regressions;
+      };
+      check("", before, g.select);
+      check("label ", label_before, g.label);
     }
   }
 
