@@ -170,6 +170,57 @@ std::vector<int> BddManager::support(Ref f) const {
   return out;
 }
 
+Cube BddManager::implied_literals(Ref f) const {
+  Cube cube;
+  if (is_const(f)) return cube;
+  const int nvars = var_count();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (visit_.size() < nodes_.size()) visit_.resize(nodes_.size(), 0);
+  if (++epoch_ == 0) {  // wrapped: forget every old mark
+    std::fill(visit_.begin(), visit_.end(), 0);
+    epoch_ = 1;
+  }
+  // Over the paths from f to TRUE: seen[v] bit 0 / bit 1 = some path leaves
+  // a v node by its low / high edge; `skipped` is a difference array of the
+  // variable ranges that some path jumps over (those stay free).
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(nvars), 0);
+  std::vector<int> skipped(static_cast<std::size_t>(nvars) + 1, 0);
+  auto skip = [&](int from, Ref to) {
+    const int upto = is_const(to) ? nvars : level(to);
+    if (from >= upto) return;
+    ++skipped[static_cast<std::size_t>(from)];
+    --skipped[static_cast<std::size_t>(upto)];
+  };
+  skip(0, f);
+  std::vector<Ref> stack{f};
+  visit_[f] = epoch_;
+  while (!stack.empty()) {
+    const Node& n = node(stack.back());
+    stack.pop_back();
+    for (const bool high : {false, true}) {
+      const Ref child = high ? n.hi : n.lo;
+      if (child == kFalse) continue;
+      seen[static_cast<std::size_t>(n.var)] |= high ? 2 : 1;
+      skip(n.var + 1, child);
+      if (is_const(child) || visit_[child] == epoch_) continue;
+      visit_[child] = epoch_;
+      stack.push_back(child);
+    }
+  }
+  cube.mask.assign(static_cast<std::size_t>(nvars + 63) / 64, 0);
+  cube.value.assign(cube.mask.size(), 0);
+  int free_depth = 0;
+  for (int v = 0; v < nvars; ++v) {
+    free_depth += skipped[static_cast<std::size_t>(v)];
+    const std::uint8_t s = seen[static_cast<std::size_t>(v)];
+    if (free_depth != 0 || (s != 1 && s != 2)) continue;
+    const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+    cube.mask[static_cast<std::size_t>(v / 64)] |= bit;
+    if (s == 2) cube.value[static_cast<std::size_t>(v / 64)] |= bit;
+  }
+  return cube;
+}
+
 std::string BddManager::to_string(Ref f) const {
   std::lock_guard<std::mutex> lock(mu_);
   return to_string_rec(f);
@@ -222,6 +273,18 @@ std::string BddManager::to_sop(Ref f) const {
     os << cubes[i];
   }
   return os.str();
+}
+
+// ---------------------------------------------------------------------------
+// Cube
+
+Assignment Cube::literals() const {
+  Assignment out;
+  for (std::size_t w = 0; w < mask.size(); ++w)
+    for (int b = 0; b < 64; ++b)
+      if ((mask[w] >> b) & 1u)
+        out.emplace_back(static_cast<int>(w * 64) + b, (value[w] >> b) & 1u);
+  return out;
 }
 
 // ---------------------------------------------------------------------------

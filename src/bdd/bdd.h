@@ -9,7 +9,10 @@
 //   * ite/and/or/xor/not with a computed-table cache,
 //   * restrict (cofactor) and compose (substitute a function for a variable),
 //   * satisfiability, implication, model extraction and model counting,
-//   * support computation and a stable textual dump for tests.
+//   * support computation and a stable textual dump for tests,
+//   * implied literals: the cube (mask/value bit sets over variable
+//     indices) of literals every satisfying assignment shares, so callers
+//     can decide "f AND g is FALSE" by a bit test when the cubes conflict.
 //
 // There is no garbage collection: condition BDDs in this domain are small
 // (tens of variables) and a manager lives exactly as long as the retarget
@@ -20,9 +23,10 @@
 // Thread safety: every operation that touches the node table — construction
 // of new BDDs (ite, literal, restrict, compose, exists and the inline
 // connectives), queries and traversals (eval, any_sat, sat_count, support,
-// to_string, to_sop, top_var/low/high, node_count) — is internally
-// serialised by a per-manager mutex, so a manager owned by a shared
-// rtl::TemplateBase may be used by concurrent core::Compiler::compile jobs.
+// implied_literals, to_string, to_sop, top_var/low/high, node_count) — is
+// internally serialised by a per-manager mutex, so a manager owned by a
+// shared rtl::TemplateBase may be used by concurrent core::Compiler::compile
+// jobs.
 // Variable *registration* is the exception: new_var is not synchronised
 // against var_name/var_count/find_var readers, so all variables must be
 // registered before the manager is shared across threads. The retargeting
@@ -30,6 +34,7 @@
 // compile-time users only read the variable table.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -50,6 +55,25 @@ inline constexpr Ref kTrue = 1;
 
 /// A (partial) variable assignment: variable index -> value.
 using Assignment = std::vector<std::pair<int, bool>>;
+
+/// A conjunction of literals as bit sets over variable indices: variable v
+/// is in the cube iff bit v of `mask` is set, with bit v of `value` as its
+/// value. Words past the end of either vector read as zero.
+struct Cube {
+  std::vector<std::uint64_t> mask;
+  std::vector<std::uint64_t> value;
+
+  /// Some variable has opposite values in the two cubes, so the conjunction
+  /// of any functions they are implied by is FALSE.
+  [[nodiscard]] bool conflicts(const Cube& other) const {
+    const std::size_t n = std::min(mask.size(), other.mask.size());
+    for (std::size_t i = 0; i < n; ++i)
+      if (mask[i] & other.mask[i] & (value[i] ^ other.value[i])) return true;
+    return false;
+  }
+  /// The literals in variable order.
+  [[nodiscard]] Assignment literals() const;
+};
 
 class BddManager {
  public:
@@ -121,6 +145,12 @@ class BddManager {
 
   /// Sorted list of variables f depends on.
   [[nodiscard]] std::vector<int> support(Ref f) const;
+
+  /// The literals every satisfying assignment of f shares (v = b such that
+  /// f implies v = b). Empty for both constants: TRUE fixes nothing, and
+  /// FALSE is given the empty cube so that it never conflicts. One
+  /// traversal of f's nodes under one lock.
+  [[nodiscard]] Cube implied_literals(Ref f) const;
 
   /// Number of live nodes including the two constants.
   [[nodiscard]] std::size_t node_count() const {
@@ -209,6 +239,10 @@ class BddManager {
   std::vector<std::string> names_;
   std::unordered_map<NodeKey, Ref, NodeKeyHash> unique_;
   std::unordered_map<IteKey, Ref, IteKeyHash> ite_cache_;
+  // Traversal marks for implied_literals: node r is visited in the current
+  // traversal iff visit_[r] == epoch_. Guarded by mu_.
+  mutable std::vector<std::uint32_t> visit_;
+  mutable std::uint32_t epoch_ = 0;
 };
 
 /// A little-endian vector of condition BDDs representing a symbolic bus or

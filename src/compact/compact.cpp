@@ -22,17 +22,12 @@ namespace {
 
 /// Required mode-register literals of a condition: mode variables whose
 /// phase is forced (cond implies var=b).
-std::vector<std::pair<int, bool>> required_modes(bdd::BddManager& mgr,
+std::vector<std::pair<int, bool>> required_modes(const bdd::BddManager& mgr,
                                                  const rtl::CondVars& vars,
                                                  bdd::Ref cond) {
   std::vector<std::pair<int, bool>> out;
-  for (int v : mgr.support(cond)) {
-    if (vars.kind(v) != rtl::VarKind::Mode) continue;
-    bool sat_pos = mgr.land(cond, mgr.var(v)) != bdd::kFalse;
-    bool sat_neg = mgr.land(cond, mgr.nvar(v)) != bdd::kFalse;
-    if (sat_pos && !sat_neg) out.emplace_back(v, true);
-    if (!sat_pos && sat_neg) out.emplace_back(v, false);
-  }
+  for (const auto& [v, value] : mgr.implied_literals(cond).literals())
+    if (vars.kind(v) == rtl::VarKind::Mode) out.emplace_back(v, value);
   return out;
 }
 

@@ -1,6 +1,6 @@
 #include "emit/encode.h"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -44,7 +44,12 @@ EncodeResult encode(const compact::CompactedProgram& prog,
   }
   bdd::BddManager& mgr = *base.mgr;
   const rtl::CondVars& vars = base.vars();
+  const auto& writers = base.writers();
   const int iw = base.instruction_width;
+  // Per word: the storages it writes (by StorageWriters::index) and its
+  // own templates (by id).
+  std::vector<bool> written(writers.size(), false);
+  std::vector<bool> own(base.templates.size(), false);
 
   // Pass 1: addresses.
   int addr = 0;
@@ -86,39 +91,40 @@ EncodeResult encode(const compact::CompactedProgram& prog,
       // Side-effect suppression. A storage the word does not write must not
       // be written by any template; a storage the word DOES write must not
       // also be written by a template outside the word's own RTs (two units
-      // writing one location is a decode-time contention).
-      std::vector<std::string> written;
-      std::set<const rtl::RTTemplate*> own;
+      // writing one location is a decode-time contention). A writer whose
+      // cube conflicts with cond's cannot fire under cond, so guarding
+      // against it leaves cond as it is: the bit test settles the step and
+      // the BDD conjunction runs only when it cannot. cond only ever gains
+      // conjuncts, so the cube taken here stays implied by it.
+      std::fill(written.begin(), written.end(), false);
+      std::fill(own.begin(), own.end(), false);
       for (const select::SelectedRT* rt : w.rts) {
-        written.push_back(rt->dest);
-        if (rt->tmpl) own.insert(rt->tmpl);
+        auto it = writers.find(rt->dest);
+        if (it != writers.end()) written[it->second.index] = true;
+        if (rt->tmpl) own[static_cast<std::size_t>(rt->tmpl->id)] = true;
       }
-      for (const auto& [storage, wc] : base.writers()) {
-        bool is_written = false;
-        for (const std::string& d : written)
-          if (d == storage) is_written = true;
-        if (!is_written) {
-          bdd::Ref guarded = mgr.land(cond, mgr.lnot(wc.any));
-          if (guarded != bdd::kFalse) {
-            cond = guarded;
-            ++result.stats.suppressed;
-          } else {
-            ++result.stats.unsuppressible;
-          }
+      const bdd::Cube cube = mgr.implied_literals(cond);
+      auto excluded = [&](const rtl::Writer& wr) {
+        return cube.conflicts(wr.cube);
+      };
+      auto suppress = [&](bool decided, bdd::Ref not_writer) {
+        bdd::Ref guarded = decided ? cond : mgr.land(cond, not_writer);
+        if (guarded != bdd::kFalse) {
+          cond = guarded;
+          ++result.stats.suppressed;
+        } else {
+          ++result.stats.unsuppressible;
+        }
+      };
+      for (const auto& [storage, wc] : writers) {
+        if (!written[wc.index]) {
+          suppress(std::all_of(wc.each.begin(), wc.each.end(), excluded),
+                   wc.not_any);
           continue;
         }
-        for (const auto& [tmpl, qc] : wc.each) {
-          if (own.count(&base.templates[tmpl])) continue;
-          bdd::Ref guarded = mgr.land(cond, mgr.lnot(qc));
-          if (guarded != bdd::kFalse) {
-            cond = guarded;
-            ++result.stats.suppressed;
-          } else {
-            ++result.stats.unsuppressible;
-          }
-        }
+        for (const rtl::Writer& wr : wc.each)
+          if (!own[wr.tmpl]) suppress(excluded(wr), wr.not_cond);
       }
-
       if (cond == bdd::kFalse) {
         diags.error({}, "instruction word condition unsatisfiable after "
                         "encoding fixups");

@@ -7,12 +7,17 @@
 //   2. suppresses unintended side effects: for every storage the word does
 //      not write, the instruction bits are chosen - when satisfiable - so
 //      that no template writing that storage can fire ("don't-care
-//      completion" of the partial instruction),
+//      completion" of the partial instruction). Each step first compares
+//      the word condition's cube (the literals it implies, taken once per
+//      word) with the writer's sealed cube: when they conflict the writer
+//      cannot fire and the condition stays as it is; only the other steps
+//      conjoin the writer's sealed negation on the BDD,
 //   3. extracts one satisfying assignment of the instruction bits; unused
 //      bits default to 0.
-// The per-storage writer conditions and the variable table are
-// target-invariant: rtl::TemplateBase::seal() computes them once per
-// target, and encoding an unsealed base is reported as an error.
+// The per-storage writer conditions, their negations and cubes, and the
+// variable table are target-invariant: rtl::TemplateBase::seal() computes
+// them once per target, and encoding an unsealed base is reported as an
+// error.
 #pragma once
 
 #include <cstdint>

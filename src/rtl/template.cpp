@@ -233,7 +233,12 @@ void TemplateBase::seal() {
     bdd::Ref c = vars_.project_to_instr(*mgr, templates[i].cond);
     StorageWriters& sw = writers_[templates[i].dest];
     sw.any = mgr->lor(sw.any, c);
-    sw.each.emplace_back(i, c);
+    sw.each.push_back(Writer{i, c, mgr->lnot(c), mgr->implied_literals(c)});
+  }
+  std::size_t index = 0;
+  for (auto& [storage, sw] : writers_) {
+    sw.index = index++;
+    sw.not_any = mgr->lnot(sw.any);
   }
   sealed_ = true;
 }

@@ -121,15 +121,25 @@ struct PortInInfo {
   int width = 0;
 };
 
-/// Writers of one storage, conditions projected onto the instruction bits
-/// (CondVars::project_to_instr). Mode bits go too: otherwise the encoder's
+/// One writer of a storage: its condition projected onto the instruction
+/// bits (CondVars::project_to_instr), the negation of that condition, and
+/// the literals it implies. Mode bits go too: otherwise the encoder's
 /// any_sat could "suppress" a writer under a mode the machine is not in.
-/// `any` ORs all writers; `each` keeps (template index, condition) in
+struct Writer {
+  std::size_t tmpl = 0;  // template index (== its id)
+  bdd::Ref cond = bdd::kFalse;
+  bdd::Ref not_cond = bdd::kTrue;
+  bdd::Cube cube;  // BddManager::implied_literals(cond)
+};
+
+/// Writers of one storage. `any` ORs all writers; `each` keeps them in
 /// template order, so a word that writes the storage can still forbid its
 /// other writers (a decode-time write contention on multi-issue machines).
 struct StorageWriters {
+  std::size_t index = 0;  // position in TemplateBase::writers() order
   bdd::Ref any = bdd::kFalse;
-  std::vector<std::pair<std::size_t, bdd::Ref>> each;
+  bdd::Ref not_any = bdd::kTrue;
+  std::vector<Writer> each;
 };
 
 /// The RT template base: everything grammar construction needs.

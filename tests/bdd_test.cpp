@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "bdd/bdd.h"
 
@@ -144,18 +145,11 @@ TEST_F(BddTest, FindVarByName) {
 // Property sweep: for every 3-variable function built from a random-ish
 // formula template, BDD evaluation equals direct formula evaluation on all
 // 8 assignments.
-class BddSemanticsProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(BddSemanticsProperty, MatchesTruthTableOnAllAssignments) {
-  int seed = GetParam();
-  BddManager mgr;
-  int v0 = mgr.new_var("x0");
-  int v1 = mgr.new_var("x1");
-  int v2 = mgr.new_var("x2");
-
-  // Deterministic formula family keyed by seed: each 2-bit field picks a
-  // connective, each term a variable.
-  auto term = [&](int k) { return mgr.var(k % 3 == 0 ? v0 : k % 3 == 1 ? v1 : v2); };
+// Deterministic formula family over x0, x1, x2 keyed by seed: each 2-bit
+// field picks a connective, each term a variable. `formula` builds the BDD
+// (variables 0..2 of `mgr`), `truth` evaluates the same formula on booleans.
+Ref formula(BddManager& mgr, int seed) {
+  auto term = [&](int k) { return mgr.var(k % 3); };
   Ref f = term(seed);
   for (int i = 0; i < 4; ++i) {
     int op = (seed >> (2 * i)) & 3;
@@ -168,32 +162,85 @@ TEST_P(BddSemanticsProperty, MatchesTruthTableOnAllAssignments) {
       case 3: f = mgr.ite(f, t, mgr.lnot(t)); break;
     }
   }
+  return f;
+}
 
-  // Reference evaluation: recompute the same formula on booleans.
-  auto ref_term = [&](int k, bool x0, bool x1, bool x2) {
-    return k % 3 == 0 ? x0 : k % 3 == 1 ? x1 : x2;
-  };
-  for (int assignment = 0; assignment < 8; ++assignment) {
-    bool x0 = assignment & 1, x1 = assignment & 2, x2 = assignment & 4;
-    bool expect = ref_term(seed, x0, x1, x2);
-    for (int i = 0; i < 4; ++i) {
-      int op = (seed >> (2 * i)) & 3;
-      bool t = ref_term(seed + i + 1, x0, x1, x2);
-      if (((seed >> (8 + i)) & 1) != 0) t = !t;
-      switch (op) {
-        case 0: expect = expect && t; break;
-        case 1: expect = expect || t; break;
-        case 2: expect = expect != t; break;
-        case 3: expect = expect ? t : !t; break;
-      }
+bool truth(int seed, const bool x[3]) {
+  bool expect = x[seed % 3];
+  for (int i = 0; i < 4; ++i) {
+    int op = (seed >> (2 * i)) & 3;
+    bool t = x[(seed + i + 1) % 3];
+    if (((seed >> (8 + i)) & 1) != 0) t = !t;
+    switch (op) {
+      case 0: expect = expect && t; break;
+      case 1: expect = expect || t; break;
+      case 2: expect = expect != t; break;
+      case 3: expect = expect ? t : !t; break;
     }
-    EXPECT_EQ(mgr.eval(f, {{v0, x0}, {v1, x1}, {v2, x2}}), expect)
+  }
+  return expect;
+}
+
+class BddSemanticsProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(BddSemanticsProperty, MatchesTruthTableOnAllAssignments) {
+  int seed = GetParam();
+  BddManager mgr;
+  int v0 = mgr.new_var("x0");
+  int v1 = mgr.new_var("x1");
+  int v2 = mgr.new_var("x2");
+  Ref f = formula(mgr, seed);
+
+  for (int assignment = 0; assignment < 8; ++assignment) {
+    const bool x[3] = {(assignment & 1) != 0, (assignment & 2) != 0,
+                       (assignment & 4) != 0};
+    EXPECT_EQ(mgr.eval(f, {{v0, x[0]}, {v1, x[1]}, {v2, x[2]}}),
+              truth(seed, x))
         << "seed=" << seed << " assignment=" << assignment;
   }
 }
 
+// implied_literals against enumeration: v = b is implied iff f has a model
+// and every model sets v to b (FALSE gets the empty cube by convention).
+TEST_P(BddSemanticsProperty, ImpliedLiteralsMatchEnumeration) {
+  int seed = GetParam();
+  BddManager mgr;
+  for (int v = 0; v < 3; ++v) (void)mgr.new_var("x" + std::to_string(v));
+  Ref f = formula(mgr, seed);
+
+  bool seen[3][2] = {};
+  bool sat = false;
+  for (int assignment = 0; assignment < 8; ++assignment) {
+    const bool x[3] = {(assignment & 1) != 0, (assignment & 2) != 0,
+                       (assignment & 4) != 0};
+    if (!truth(seed, x)) continue;
+    sat = true;
+    for (int v = 0; v < 3; ++v) seen[v][x[v]] = true;
+  }
+  Assignment expect;
+  for (int v = 0; v < 3 && sat; ++v)
+    if (seen[v][0] != seen[v][1]) expect.emplace_back(v, seen[v][1]);
+  EXPECT_EQ(mgr.implied_literals(f).literals(), expect) << "seed=" << seed;
+  EXPECT_TRUE(mgr.implied_literals(kTrue).literals().empty());
+  EXPECT_TRUE(mgr.implied_literals(kFalse).literals().empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(FormulaFamily, BddSemanticsProperty,
                          ::testing::Range(0, 64));
+
+TEST(Cube, ImpliedLiteralsSpanWordsAndDecideConflicts) {
+  BddManager mgr;
+  for (int v = 0; v < 70; ++v) (void)mgr.new_var("x" + std::to_string(v));
+  // x3 & !x68 & (x10 | x11): x10 and x11 are free, x3 and x68 are fixed.
+  Ref f = mgr.land(mgr.land(mgr.var(3), mgr.nvar(68)),
+                   mgr.lor(mgr.var(10), mgr.var(11)));
+  Cube cube = mgr.implied_literals(f);
+  EXPECT_EQ(cube.literals(), (Assignment{{3, true}, {68, false}}));
+  EXPECT_TRUE(cube.conflicts(mgr.implied_literals(mgr.var(68))));
+  EXPECT_FALSE(cube.conflicts(mgr.implied_literals(mgr.nvar(68))));
+  EXPECT_FALSE(cube.conflicts(mgr.implied_literals(mgr.nvar(10))));
+  EXPECT_FALSE(cube.conflicts(mgr.implied_literals(kFalse)));
+}
 
 TEST(BitVec, ConstantRoundTrip) {
   BitVec v = BitVec::constant(0b1011, 4);

@@ -180,10 +180,24 @@ TEST(TemplateBase, SealComputesWriterConditionsOnce) {
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w.begin()->first, "A");  // storage-name order
   const StorageWriters& wb = w.at("B");
+  EXPECT_EQ(wb.index, 1u);
   EXPECT_EQ(wb.any, bdd::kTrue);  // I[0] (mode quantified) or not I[0]
+  EXPECT_EQ(wb.not_any, bdd::kFalse);
   ASSERT_EQ(wb.each.size(), 2u);  // template order
-  EXPECT_EQ(wb.each[0], std::make_pair(std::size_t{0}, mgr.var(i0)));
-  EXPECT_EQ(wb.each[1], std::make_pair(std::size_t{2}, mgr.nvar(i0)));
+  EXPECT_EQ(wb.each[0].tmpl, 0u);
+  EXPECT_EQ(wb.each[0].cond, mgr.var(i0));
+  EXPECT_EQ(wb.each[0].not_cond, mgr.nvar(i0));
+  EXPECT_EQ(wb.each[0].cube.literals(), (bdd::Assignment{{i0, true}}));
+  EXPECT_EQ(wb.each[1].tmpl, 2u);
+  EXPECT_EQ(wb.each[1].cond, mgr.nvar(i0));
+  EXPECT_EQ(wb.each[1].not_cond, mgr.var(i0));
+  EXPECT_EQ(wb.each[1].cube.literals(), (bdd::Assignment{{i0, false}}));
+  EXPECT_TRUE(wb.each[0].cube.conflicts(wb.each[1].cube));
+  const StorageWriters& wa = w.at("A");
+  EXPECT_EQ(wa.index, 0u);
+  EXPECT_EQ(wa.not_any, mgr.var(i0));
+  ASSERT_EQ(wa.each.size(), 1u);
+  EXPECT_EQ(wa.each[0].not_cond, mgr.var(i0));
 
   (void)base.add_unique(make_template(reg("B"), "A"));
   EXPECT_FALSE(base.sealed());
